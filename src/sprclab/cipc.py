@@ -79,16 +79,17 @@ class CipcController:
 
     def __init__(self, config: CipcConfig | None = None,
                  ts: float = 1.0 / 200.0):
+        if ts <= 0.0:
+            raise ValueError("Ts must be positive")
         self.config = config or CipcConfig()
         self.ts = ts
+        self.telemetry: list = []  # CIPC keeps no per-rotation record
         self.state = CipcState(notches=[_Notch(self.config.notch_pole_radius),
                                         _Notch(self.config.notch_pole_radius)])
 
     def step(self, loads: np.ndarray, azimuth: float,
              omega: float) -> np.ndarray:
         """One control sample; omega (rad/s) sets the 2P notch center."""
-        if self.ts <= 0.0:
-            raise ValueError("Ts must be positive")
         cfg = self.config
         tilt, yaw = coleman_forward(loads, azimuth)
         center = min(2.0 * omega * self.ts, np.pi * 0.9)

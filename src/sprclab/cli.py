@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentC
         updates["seeds"] = Seeds(wind=overrides.seed, noise=overrides.seed + 1,
                                  excitation=overrides.seed + 2)
     if updates:
-        from dataclasses import replace
         config = replace(config, **updates)
     config.validate()
     return config
@@ -49,8 +49,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.controller}_{config.mode}_{config.mean_wind:g}"
-    harness.export(record, str(outdir / f"{stem}.csv"), "csv")
-    harness.export(record, str(outdir / f"{stem}.json"), "json")
+    harness.export_csv(record, str(outdir / f"{stem}.csv"))
+    harness.export_json(record, str(outdir / f"{stem}.json"))
     print(json.dumps(record.metrics, indent=2))
 
 

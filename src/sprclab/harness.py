@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import windfield
 from .cipc import CipcConfig, CipcController
-from .plant import RPM_TO_RADS, TurbineParams, TurbineState, turbine_step
+from .codec import decode, encode
+from .plant import (N_BLADES, RPM_TO_RADS, TurbineParams, TurbineState,
+                    turbine_step)
 from .spectral import band_power, loglog_slope, welch_psd
 from .sprc import SprcConfig, SprcController
 
@@ -47,7 +49,7 @@ class ScenarioEvent:
 
     def __post_init__(self):
         if self.kind not in ("collective_pitch", "wind_mean"):
-            raise ValueError(f"events.kind: unknown event kind {self.kind!r}")
+            raise ValueError(f"kind: unknown event kind {self.kind!r}")
 
 
 @dataclass
@@ -76,47 +78,15 @@ class ExperimentConfig:
         windfield.GridMode.from_label(self.mode)
 
     def to_dict(self) -> dict:
-        data = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "mean_wind": self.mean_wind,
-            "controller": self.controller,
-            "duration": self.duration,
-            "collective_pitch_deg": self.collective_pitch_deg,
-            "eval_start_s": self.eval_start_s,
-            "seeds": asdict(self.seeds),
-            "events": [asdict(e) for e in self.events],
-            "plant": self.plant.to_dict(),
-            "sprc": asdict(self.sprc),
-            "cipc": asdict(self.cipc),
-        }
-        data["sprc"]["harmonics"] = list(self.sprc.harmonics)
-        return data
+        return {"schema_version": SCHEMA_VERSION, **encode(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        version = data.get("schema_version", SCHEMA_VERSION)
+        data = dict(decode(dict, data))  # a JSON object, else ValueError
+        version = data.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"schema_version: unsupported version {version}")
-        kwargs: dict = {}
-        for key in ("mode", "mean_wind", "controller", "duration",
-                    "collective_pitch_deg", "eval_start_s"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "seeds" in data:
-            kwargs["seeds"] = Seeds(**data["seeds"])
-        if "events" in data:
-            kwargs["events"] = tuple(ScenarioEvent(**e) for e in data["events"])
-        if "plant" in data:
-            kwargs["plant"] = TurbineParams.from_dict(data["plant"])
-        if "sprc" in data:
-            sprc = dict(data["sprc"])
-            if "harmonics" in sprc:
-                sprc["harmonics"] = tuple(sprc["harmonics"])
-            kwargs["sprc"] = SprcConfig(**sprc)
-        if "cipc" in data:
-            kwargs["cipc"] = CipcConfig(**data["cipc"])
-        config = cls(**kwargs)
+        config = decode(cls, data)
         config.validate()
         return config
 
@@ -165,16 +135,26 @@ def _wind_samples(config: ExperimentConfig, n: int) -> np.ndarray:
     return samples
 
 
+class NullController:
+    """The `none` controller: no IPC pitch and no telemetry."""
+
+    def __init__(self):
+        self.telemetry: list = []
+
+    def step(self, loads: np.ndarray, azimuth: float,
+             omega: float) -> np.ndarray:
+        return np.zeros(N_BLADES)
+
+
 def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
     if config.controller == "none":
-        return None
+        return NullController()
     if config.controller == "cipc":
         return CipcController(config.cipc, ts=config.plant.ts)
     harmonics = (1,) if config.controller == "sprc-1p" else (1, 2)
-    sprc_cfg = replace(config.sprc, harmonics=harmonics,
-                       ts=config.plant.ts,
-                       excitation_seed=config.seeds.excitation)
-    return SprcController(sprc_cfg, nominal_rotation_samples)
+    return SprcController(config.sprc, nominal_rotation_samples,
+                          harmonics=harmonics, ts=config.plant.ts,
+                          excitation_seed=config.seeds.excitation)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
@@ -195,11 +175,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     next_event = 0
 
     time = np.arange(n) * ts
-    pitch = np.zeros((n, params.n_blades))
-    loads = np.zeros((n, params.n_blades))
+    pitch = np.zeros((n, N_BLADES))
+    loads = np.zeros((n, N_BLADES))
     azimuth = np.zeros(n)
     omega = np.zeros(n)
-    prev_loads = np.zeros(params.n_blades)
+    prev_loads = np.zeros(N_BLADES)
 
     for k in range(n):
         while next_event < len(events) and time[k] >= events[next_event].time_s:
@@ -208,29 +188,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
                 state = replace(state, collective_pitch=event.value)
             next_event += 1
 
-        if controller is None:
-            u = np.zeros(params.n_blades)
-        elif isinstance(controller, CipcController):
-            u = controller.step(prev_loads, state.azimuth, state.omega)
-        else:
-            u = controller.step(prev_loads, state.azimuth)
-
+        u = controller.step(prev_loads, state.azimuth, state.omega)
         azimuth[k] = state.azimuth
         omega[k] = state.omega
         pitch[k] = u
         cmd = state.collective_pitch + u
-        prev_loads, state = turbine_step(state, params, cmd, 0.0, wind[k], rng)
+        prev_loads, state = turbine_step(state, params, cmd, wind[k], rng)
         loads[k] = prev_loads
 
-    if isinstance(controller, SprcController):
-        theta_times = np.array([t.time_s for t in controller.telemetry])
-        theta_trace = (np.array([t.theta for t in controller.telemetry])
-                       if controller.telemetry else np.zeros((0, 0)))
-        dtheta = np.array([t.delta_theta_norm for t in controller.telemetry])
-    else:
-        theta_times = np.zeros(0)
-        theta_trace = np.zeros((0, 0))
-        dtheta = np.zeros(0)
+    telemetry = controller.telemetry
+    theta_times = np.array([t.time_s for t in telemetry])
+    theta_trace = (np.array([t.theta for t in telemetry])
+                   if telemetry else np.zeros((0, 0)))
+    dtheta = np.array([t.delta_theta_norm for t in telemetry])
 
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
                               loads=loads, azimuth=azimuth, omega=omega,
@@ -320,15 +290,6 @@ def export_json(record: ExperimentRecord, path: str) -> None:
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
-
-
-def export(record: ExperimentRecord, path: str, fmt: str = "json") -> None:
-    if fmt == "csv":
-        export_csv(record, path)
-    elif fmt == "json":
-        export_json(record, path)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
 
 
 def sweep_configs(controller: str, seeds: Seeds,

@@ -8,7 +8,6 @@ a first-order rotor-speed response.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 TS_DEFAULT = 1.0 / 200.0  # 200 Hz control rate
 SERVO_BANDWIDTH_HZ = 15.0
 RPM_TO_RADS = 2.0 * np.pi / 60.0
+N_BLADES = 2  # the loads, Coleman transform, CSV export and SPRC assume two
 
 
 @dataclass(frozen=True)
@@ -201,42 +201,22 @@ class RotorModel:
 
 @dataclass(frozen=True)
 class TurbineParams:
-    """Full surrogate turbine parameterization (JSON-loadable)."""
+    """Full surrogate turbine parameterization (a config's `plant` block)."""
 
     ts: float = TS_DEFAULT
-    n_blades: int = 2
     servo_bandwidth_hz: float = SERVO_BANDWIDTH_HZ
     wind_lowpass_tau_s: float = 10.0
     loads: LoadModel = field(default_factory=LoadModel)
     rotor: RotorModel = field(default_factory=RotorModel)
 
+    def __post_init__(self):
+        if self.ts <= 0.0:
+            raise ValueError("ts: must be positive")
+
     @property
     def servo_pole(self) -> float:
         """Discrete pole of the first-order pitch servo lag."""
         return float(np.exp(-2.0 * np.pi * self.servo_bandwidth_hz * self.ts))
-
-    def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in
-               ("ts", "n_blades", "servo_bandwidth_hz", "wind_lowpass_tau_s")}
-        out["loads"] = self.loads.__dict__.copy()
-        out["rotor"] = {k: getattr(self.rotor, k) for k in
-                        ("tau_s", "rpm_per_mps", "rpm_per_deg", "rpm_offset",
-                         "min_rpm")}
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TurbineParams":
-        loads = LoadModel(**data.get("loads", {}))
-        rotor = RotorModel(**data.get("rotor", {}))
-        scalars = {k: data[k] for k in
-                   ("ts", "n_blades", "servo_bandwidth_hz", "wind_lowpass_tau_s")
-                   if k in data}
-        return cls(loads=loads, rotor=rotor, **scalars)
-
-    @classmethod
-    def from_json(cls, path: str) -> "TurbineParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -255,26 +235,24 @@ class TurbineState:
                 collective_deg: float = 2.0) -> "TurbineState":
         omega = params.rotor.steady_rpm(wind_mps, collective_deg) * RPM_TO_RADS
         return cls(azimuth=0.0, omega=omega,
-                   servo_pitch=np.full(params.n_blades, collective_deg),
+                   servo_pitch=np.full(N_BLADES, collective_deg),
                    rotation_count=0, collective_pitch=collective_deg,
                    wind_lp=wind_mps)
 
 
 def turbine_step(state: TurbineState, params: TurbineParams,
-                 pitch_cmd: np.ndarray, generator_torque: float,
-                 wind_sample: float, rng: np.random.Generator | None = None,
-                 ts: float | None = None) -> tuple[np.ndarray, TurbineState]:
+                 pitch_cmd: np.ndarray, wind_sample: float,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[np.ndarray, TurbineState]:
     """Advance the turbine one sample; returns (blade loads, new state).
 
     Loads combine the azimuth-periodic Fourier content (scaled with the
     slow wind level), the pitch-to-load gain acting on the lagged servo
     pitch, the broadband wind fluctuation, and measurement noise.
     """
-    ts = params.ts if ts is None else ts
-    if ts <= 0.0:
-        raise ValueError("Ts must be positive")
+    ts = params.ts
     pitch_cmd = np.asarray(pitch_cmd, dtype=float)
-    if pitch_cmd.shape != (params.n_blades,):
+    if pitch_cmd.shape != (N_BLADES,):
         raise ValueError("pitch command must have one entry per blade")
 
     loads_model = params.loads
@@ -288,9 +266,9 @@ def turbine_step(state: TurbineState, params: TurbineParams,
     amp_scale = (wind_lp / loads_model.wind_ref_mps) ** 2
     fluctuation = wind_sample - wind_lp
 
-    blade_azimuths = state.azimuth + np.arange(params.n_blades) * (
-        2.0 * np.pi / params.n_blades)
-    loads = np.empty(params.n_blades)
+    blade_azimuths = state.azimuth + np.arange(N_BLADES) * (
+        2.0 * np.pi / N_BLADES)
+    loads = np.empty(N_BLADES)
     for i, az in enumerate(blade_azimuths):
         periodic = loads_model.periodic_load(az, state.collective_pitch, amp_scale)
         if i == 1:
@@ -307,7 +285,7 @@ def turbine_step(state: TurbineState, params: TurbineParams,
                     + loads_model.wind_gain_nm_per_mps * wind_factor
                     * fluctuation)
     if rng is not None and loads_model.noise_std_nm > 0.0:
-        loads += loads_model.noise_std_nm * rng.standard_normal(params.n_blades)
+        loads += loads_model.noise_std_nm * rng.standard_normal(N_BLADES)
 
     # Rotor speed relaxes toward the affine steady state; generator torque
     # only enters through that operating point (no drivetrain elasticity).

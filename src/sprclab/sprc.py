@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .plant import N_BLADES, TS_DEFAULT
 from .sysid import DeltaBuffer, MarkovEstimate, NumericError
 
 
@@ -193,9 +194,7 @@ def update_theta(theta: np.ndarray, delta_theta: np.ndarray, ybar: np.ndarray,
 class SprcConfig:
     """Tuning for the SPRC loop (defaults target the surrogate turbine)."""
 
-    n_inputs: int = 2
     past_window: int = 20
-    harmonics: tuple[int, ...] = (1, 2)
     forgetting: float = 0.99999
     q_weight: float = 1.0
     r_weight: float = 3.0
@@ -204,9 +203,7 @@ class SprcConfig:
     dare_iterations: int = 50
     ident_duration_s: float = 30.0
     excitation_amplitude_deg: float = 1.5
-    excitation_seed: int = 2
     period_fraction: float = 0.9
-    ts: float = 1.0 / 200.0
 
 
 @dataclass
@@ -228,18 +225,24 @@ class SprcController:
     seeded random phases while feedback is off; afterwards each azimuth
     wrap triggers predictor assembly, projection, DARE iteration and the
     theta update, and the new sequence is swapped in for the next rotation.
+    The run supplies the basis harmonics, the sample time and the
+    excitation seed; `config` holds only the tuning.
     """
 
-    def __init__(self, config: SprcConfig, nominal_rotation_samples: float):
+    def __init__(self, config: SprcConfig, nominal_rotation_samples: float,
+                 *, harmonics: tuple[int, ...] = (1, 2),
+                 ts: float = TS_DEFAULT, excitation_seed: int = 2):
         self.config = config
+        self.harmonics = harmonics
+        self.ts = ts
         if nominal_rotation_samples <= 0:
             raise ValueError("nominal rotation period must be positive")
         self.period = int(np.floor(config.period_fraction
                                    * nominal_rotation_samples))
         if self.period <= max(8, config.past_window):
             raise ValueError("rotation period too short for the basis/window")
-        r = config.n_inputs
-        self.basis = build_basis(self.period, r, config.harmonics)
+        r = N_BLADES
+        self.basis = build_basis(self.period, r, harmonics)
         nb = self.basis.n_params
         self.buffer = DeltaBuffer(self.period, config.past_window, r, r)
         self.markov = MarkovEstimate(r, r, config.past_window,
@@ -251,7 +254,7 @@ class SprcController:
         self.p_riccati = np.eye(3 * nb) * config.q_weight
         self._q = np.eye(3 * nb) * config.q_weight
         self._r = np.eye(nb) * config.r_weight
-        self._rng = np.random.default_rng(config.excitation_seed)
+        self._rng = np.random.default_rng(excitation_seed)
         self._prev_azimuth: float | None = None
         self._recent: list[tuple[float, np.ndarray]] = []  # (psi, y), last P
         self._sample = 0
@@ -263,9 +266,9 @@ class SprcController:
     def _draw_excitation(self) -> None:
         """Random-phase excitation at the basis harmonics, fixed amplitude."""
         amp = self.config.excitation_amplitude_deg
-        r = self.config.n_inputs
+        r = N_BLADES
         theta = np.zeros(self.basis.n_params)
-        for h in range(len(self.config.harmonics)):
+        for h in range(len(self.harmonics)):
             for i in range(r):
                 phase = self._rng.uniform(0.0, 2.0 * np.pi)
                 theta[(2 * h) * r + i] = amp * np.cos(phase)
@@ -275,19 +278,22 @@ class SprcController:
 
     @property
     def in_identification_phase(self) -> bool:
-        return self._sample * self.config.ts < self.config.ident_duration_s
+        return self._sample * self.ts < self.config.ident_duration_s
 
-    def step(self, measurement: np.ndarray, azimuth: float) -> np.ndarray:
-        """Process one sample; returns the per-blade pitch command (deg)."""
-        y = np.asarray(measurement, dtype=float)
+    def step(self, loads: np.ndarray, azimuth: float,
+             omega: float) -> np.ndarray:
+        """Process one sample; returns the per-blade pitch command (deg).
+
+        Commands are indexed by azimuth alone, so `omega` is not read.
+        """
+        y = np.asarray(loads, dtype=float)
         wrapped = (self._prev_azimuth is not None
                    and azimuth < self._prev_azimuth)
         if wrapped:
             self._on_rotation_boundary()
         self._prev_azimuth = azimuth
 
-        u = control_sample(self.theta, azimuth, self.config.n_inputs,
-                           self.config.harmonics)
+        u = control_sample(self.theta, azimuth, N_BLADES, self.harmonics)
         self.buffer.push(u, y)
         if self.buffer.ready:
             try:
@@ -300,7 +306,7 @@ class SprcController:
         return u
 
     def _on_rotation_boundary(self) -> None:
-        tel = RotationTelemetry(time_s=self._sample * self.config.ts)
+        tel = RotationTelemetry(time_s=self._sample * self.ts)
         ybar = self._estimate_ybar()
         if ybar is not None:
             self.delta_ybar = ybar - self.ybar
@@ -334,9 +340,8 @@ class SprcController:
         angles = np.array([a for a, _ in self._recent])
         stacked = np.concatenate([y for _, y in self._recent])
         self._recent.clear()
-        r = self.config.n_inputs
-        rows = basis_rows(angles, r, self.config.harmonics)
-        dc = np.kron(np.ones((len(angles), 1)), np.eye(r))
+        rows = basis_rows(angles, N_BLADES, self.harmonics)
+        dc = np.kron(np.ones((len(angles), 1)), np.eye(N_BLADES))
         coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), stacked, rcond=None)
         return coeffs[:self.basis.n_params]
 
@@ -345,7 +350,7 @@ class SprcController:
         try:
             markov = self.markov.estimate
             lp = assemble_predictor(markov, cfg.past_window, self.period,
-                                    cfg.n_inputs, cfg.n_inputs)
+                                    N_BLADES, N_BLADES)
             abar, bbar = project_predictor(lp, self.basis)
             p_r, _, residual = solve_dare(
                 abar, bbar, self._q, self._r, p0=self.p_riccati,

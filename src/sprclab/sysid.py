@@ -9,8 +9,6 @@ serves as its oracle.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -44,10 +42,6 @@ class DeltaBuffer:
         self._u = np.zeros((self._size, n_inputs))
         self._y = np.zeros((self._size, n_outputs))
         self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
 
     @property
     def ready(self) -> bool:
@@ -163,9 +157,6 @@ class MarkovEstimate:
             "n_inputs": self.n_inputs,
             "n_outputs": self.n_outputs,
         }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot())
 
 
 class BatchResult:

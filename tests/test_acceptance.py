@@ -141,9 +141,9 @@ def test_criterion_05_pure_periodic_rejection():
         loads_log = np.zeros((steps, 2))
         prev = np.zeros(2)
         for k in range(steps):
-            u = 2.0 + (ctrl.step(prev, state.azimuth) if controlled
-                       else np.zeros(2))
-            prev, state = turbine_step(state, params, u, 0.0, 5.0)
+            u = 2.0 + (ctrl.step(prev, state.azimuth, state.omega)
+                       if controlled else np.zeros(2))
+            prev, state = turbine_step(state, params, u, 5.0)
             loads_log[k] = prev
         return loads_log
 
@@ -271,10 +271,11 @@ def test_criterion_10_performance_budget():
     steps = 8000  # 40 s at 200 Hz, spanning many rotation boundaries
     azimuths = (2 * np.pi * np.arange(steps)
                 / NOMINAL_ROTATION_SAMPLES) % (2 * np.pi)
+    omega = 2 * np.pi * 200.0 / NOMINAL_ROTATION_SAMPLES
     measurements = rng.standard_normal((steps, 2))
     started = time.perf_counter()
     for k in range(steps):
-        ctrl.step(measurements[k], azimuths[k])
+        ctrl.step(measurements[k], azimuths[k], omega)
     per_sample_ms = 1000.0 * (time.perf_counter() - started) / steps
     assert per_sample_ms < 5.0, f"per-sample cost {per_sample_ms:.2f} ms"
     print(f"CRITERION 10 PASS: amortized per-sample cost "

@@ -97,9 +97,8 @@ class TestController:
         assert closed_var < 0.1 * open_var
 
     def test_invalid_ts_rejected(self):
-        ctrl = CipcController(ts=0.0)
         with pytest.raises(ValueError):
-            ctrl.step(np.zeros(2), 0.0, 24.0)
+            CipcController(ts=0.0)
 
     def test_notch_removes_2p_ripple(self):
         # Pure differential 1P load: after the notch the PI sees only the

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sprclab.cli import main
 
@@ -36,6 +37,41 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
     assert rc == 1
+
+
+# Dotted path of the offending value -> a config that must be refused.
+MALFORMED = {
+    "seeds.wnd": {"seeds": {"wnd": 3}},
+    "mean_wnd": {"mean_wnd": 4.5},
+    "duration": {"duration": "5"},
+    "plant.n_blades": {"plant": {"n_blades": 3}},
+    "sprc.harmonics": {"sprc": {"harmonics": [1]}},
+    "events[0].value": {"events": [{"time_s": 6.0, "kind": "wind_mean"}]},
+    "plant.ts": {"plant": {"ts": 0.0}},
+}
+
+
+@pytest.mark.parametrize("path", list(MALFORMED))
+def test_malformed_config_names_path(tmp_path, capsys, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED[path]))
+    rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
+    assert rc == 1
+    assert f"{path}:" in capsys.readouterr().err
+
+
+def test_exported_config_reruns_identically(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    rc = main(["run", "--controller", "cipc", "--duration", "12",
+               "--output", str(first)])
+    assert rc == 0
+    exported = json.loads((first / "cipc_static0_5.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(exported["config"]))
+    rc = main(["run", "--config", str(config), "--output", str(second)])
+    assert rc == 0
+    assert ((second / "cipc_static0_5.csv").read_bytes()
+            == (first / "cipc_static0_5.csv").read_bytes())
 
 
 def test_invalid_duration_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ from sprclab import harness
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, SeedMismatchError,
                              Seeds, actuator_duty, compare_table, run_experiment,
                              sweep_configs, variance_reduction, wind_stats)
+from sprclab.plant import LoadModel, RotorModel, TurbineParams
 from sprclab.spectral import band_power, welch_psd
 from sprclab import windfield
 
@@ -49,6 +50,22 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         assert ExperimentConfig.from_json(str(path)).to_dict() == config.to_dict()
+
+    def test_nested_plant_json_round_trip(self, tmp_path):
+        plant = TurbineParams(loads=LoadModel(amp_1p_nm=1.5),
+                              rotor=RotorModel(tau_s=3.0))
+        config = ExperimentConfig(controller="cipc", plant=plant)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        assert ExperimentConfig.from_json(str(path)) == config
+
+    def test_json_integers_accepted_as_floats(self):
+        config = ExperimentConfig.from_dict({"duration": 60,
+                                             "plant": {"ts": 1}})
+        assert type(config.duration) is float and config.duration == 60.0
+        assert type(config.plant.ts) is float
+        with pytest.raises(ValueError, match="seeds.wind"):
+            ExperimentConfig.from_dict({"seeds": {"wind": 1.0}})
 
     def test_unsupported_schema_rejected(self):
         data = ExperimentConfig().to_dict()
@@ -162,7 +179,7 @@ class TestExport:
     def test_csv_row_count(self, tmp_path):
         record = run_experiment(_fast_config())
         path = tmp_path / "run.csv"
-        harness.export(record, str(path), "csv")
+        harness.export_csv(record, str(path))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == int(12.0 * 200) + 1
         assert lines[0] == "time,u1,u2,y1,y2,psi,omega,wind"
@@ -170,16 +187,11 @@ class TestExport:
     def test_json_round_trip(self, tmp_path):
         record = run_experiment(_fast_config())
         path = tmp_path / "run.json"
-        harness.export(record, str(path), "json")
+        harness.export_json(record, str(path))
         payload = json.loads(path.read_text())
         assert payload["schema_version"] == harness.SCHEMA_VERSION
         assert payload["metrics"] == json.loads(json.dumps(record.metrics))
         assert payload["config"] == record.config.to_dict()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        record = run_experiment(_fast_config())
-        with pytest.raises(ValueError):
-            harness.export(record, str(tmp_path / "x"), "xml")
 
 
 class TestSweep:

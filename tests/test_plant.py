@@ -1,7 +1,5 @@
 """Tests for the LTI simulator and the turbine surrogate."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -90,7 +88,7 @@ class TestTurbineSurrogate:
         state = TurbineState.initial(params, 5.0)
         for _ in range(2000):
             az = state.azimuth
-            loads, state = turbine_step(state, params, np.full(2, 2.0), 0.0, 5.0)
+            loads, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
             expected = params.loads.periodic_load(az, 2.0, 1.0)
             np.testing.assert_allclose(loads[0], expected, atol=1e-9)
 
@@ -101,7 +99,7 @@ class TestTurbineSurrogate:
         tau = 1.0 / (2.0 * np.pi * params.servo_bandwidth_hz)
         steps = int(np.ceil(5.0 * tau / params.ts))
         for _ in range(steps):
-            loads, state = turbine_step(state, params, np.full(2, 3.0), 0.0, 5.0)
+            loads, state = turbine_step(state, params, np.full(2, 3.0), 5.0)
         baseline = params.loads.mean_nm
         offset = loads[0] - baseline
         target = params.loads.pitch_gain_nm_per_deg * 1.0
@@ -111,7 +109,7 @@ class TestTurbineSurrogate:
         params = TurbineParams()
         state = TurbineState.initial(params, 5.0)
         for _ in range(4000):
-            _, state = turbine_step(state, params, np.full(2, 2.0), 0.0, 5.0)
+            _, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
         rpm = state.omega / RPM_TO_RADS
         assert abs(rpm - 230.0) < 2.0
 
@@ -121,7 +119,7 @@ class TestTurbineSurrogate:
         total = 0.0
         for _ in range(3000):
             total += state.omega * params.ts
-            _, state = turbine_step(state, params, np.full(2, 2.0), 0.0, 5.0)
+            _, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
         assert state.rotation_count == int(total // (2.0 * np.pi))
 
     def test_servo_attenuates_sinusoids(self):
@@ -135,17 +133,15 @@ class TestTurbineSurrogate:
             pitch = []
             for k in range(2000):
                 cmd = np.full(2, np.sin(2 * np.pi * f * k * params.ts))
-                _, state = turbine_step(state, params, cmd, 0.0, 5.0)
+                _, state = turbine_step(state, params, cmd, 5.0)
                 pitch.append(state.servo_pitch[0])
             amps.append(np.max(np.abs(pitch[1000:])))
         assert all(a <= 1.0 + 1e-9 for a in amps)
         assert amps[0] > amps[1] > amps[2]
 
     def test_nonpositive_ts_rejected(self):
-        params = TurbineParams()
-        state = TurbineState.initial(params, 5.0)
         with pytest.raises(ValueError):
-            turbine_step(state, params, np.full(2, 2.0), 0.0, 5.0, ts=0.0)
+            TurbineParams(ts=0.0)
 
     def test_reproducible_with_equal_seeds(self):
         params = TurbineParams()
@@ -156,7 +152,7 @@ class TestTurbineSurrogate:
             series = []
             for _ in range(500):
                 loads, state = turbine_step(state, params, np.full(2, 2.0),
-                                            0.0, 5.0, rng)
+                                            5.0, rng)
                 series.append(loads)
             out.append(np.array(series))
         np.testing.assert_array_equal(out[0], out[1])
@@ -171,13 +167,3 @@ class TestRotorModel:
     def test_floor_applied(self):
         rotor = RotorModel()
         assert rotor.steady_rpm(0.1, 10.0) == rotor.min_rpm
-
-
-class TestParamsSerialization:
-    def test_json_round_trip(self, tmp_path):
-        params = TurbineParams(loads=LoadModel(amp_1p_nm=1.5),
-                               rotor=RotorModel(tau_s=3.0))
-        path = tmp_path / "plant.json"
-        path.write_text(json.dumps(params.to_dict()))
-        loaded = TurbineParams.from_json(str(path))
-        assert loaded == params

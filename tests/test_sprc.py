@@ -269,18 +269,19 @@ class TestController:
         state = TurbineState.initial(params, 5.0)
         prev = np.zeros(2)
         for _ in range(int(60.0 / params.ts)):
-            u = 2.0 + ctrl.step(prev, state.azimuth)
-            prev, state = turbine_step(state, params, u, 0.0, 5.0)
+            u = 2.0 + ctrl.step(prev, state.azimuth, state.omega)
+            prev, state = turbine_step(state, params, u, 5.0)
         assert np.linalg.norm(ctrl.theta) < 1e-3
 
     def test_nan_measurement_holds_theta(self):
         cfg = SprcConfig()
         ctrl = SprcController(cfg, 52.0)
         azimuths = (2 * np.pi * np.arange(400) / 52.0) % (2 * np.pi)
+        omega = 2 * np.pi * 200.0 / 52.0
         for az in azimuths[:200]:
-            ctrl.step(np.zeros(2), az)
+            ctrl.step(np.zeros(2), az, omega)
         for az in azimuths[200:]:
-            u = ctrl.step(np.full(2, np.nan), az)
+            u = ctrl.step(np.full(2, np.nan), az, omega)
             assert np.all(np.isfinite(u))
         assert np.all(np.isfinite(ctrl.theta))
 

@@ -127,7 +127,7 @@ class TestMarkovEstimate:
         _, z, t = _random_rows(4, 1, 50, seed=3)
         for zi, ti in zip(z, t):
             est.update(zi, ti)
-        snap = json.loads(est.snapshot_json())
+        snap = json.loads(json.dumps(est.snapshot()))
         assert snap["samples"] == 50
         assert snap["forgetting"] == 0.999
         np.testing.assert_allclose(np.array(snap["markov"]), est.estimate)
