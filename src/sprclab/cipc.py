@@ -65,6 +65,10 @@ class CipcConfig:
     notch_pole_radius: float = 0.9
     pitch_limit_deg: float = 10.0
 
+    def __post_init__(self):
+        if not 0.0 < self.notch_pole_radius < 1.0:
+            raise ValueError("notch_pole_radius: must lie in (0, 1)")
+
 
 @dataclass
 class CipcState:

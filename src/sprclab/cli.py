@@ -55,7 +55,15 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    base = _load_config(args.config, argparse.Namespace())
+    base = ExperimentConfig()
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        base = ExperimentConfig.from_dict(data)
+        for key in harness.SWEPT_FIELDS:
+            if key in data:
+                raise ValueError(f"{key}: set per cell by the sweep grid, "
+                                 f"not by the base config")
     seeds = base.seeds if args.seed is None else Seeds(
         wind=args.seed, noise=args.seed + 1, excitation=args.seed + 2)
     controllers = ["none"] + list(args.controllers)

@@ -26,6 +26,7 @@ SCHEMA_VERSION = 1
 CONTROLLERS = ("none", "cipc", "sprc-1p", "sprc-1p2p")
 SWEEP_MODES = ("static0", "static45", "lidar", "gusts")
 SWEEP_SPEEDS = (4.0, 4.5, 5.0)
+SWEPT_FIELDS = ("mode", "mean_wind", "controller")  # set per sweep cell
 
 
 class SeedMismatchError(ValueError):
@@ -75,6 +76,10 @@ class ExperimentConfig:
             raise ValueError("mean_wind: must be positive")
         if not 0.0 <= self.eval_start_s < self.duration:
             raise ValueError("eval_start_s: must lie within the run")
+        for i, event in enumerate(self.events):
+            if not 0.0 <= event.time_s < self.duration:
+                raise ValueError(f"events[{i}].time_s: must lie in "
+                                 f"[0, duration)")
         windfield.GridMode.from_label(self.mode)
 
     def to_dict(self) -> dict:
@@ -295,7 +300,11 @@ def export_json(record: ExperimentRecord, path: str) -> None:
 def sweep_configs(controller: str, seeds: Seeds,
                   base: ExperimentConfig | None = None,
                   modes=SWEEP_MODES, speeds=SWEEP_SPEEDS) -> list[ExperimentConfig]:
-    """The 12-cell grid (modes x speeds) for one controller."""
+    """The 12-cell grid (modes x speeds) for one controller.
+
+    The grid sets the SWEPT_FIELDS of every cell, so the base config's
+    values of those fields are not used.
+    """
     base = base or ExperimentConfig()
     return [replace(base, mode=mode, mean_wind=speed, controller=controller,
                     seeds=seeds)

@@ -193,6 +193,10 @@ class RotorModel:
     rpm_offset: float = 230.0 - 80.0 * 5.0 - (-3.75) * 2.0
     min_rpm: float = 30.0
 
+    def __post_init__(self):
+        if self.tau_s <= 0.0:
+            raise ValueError("tau_s: must be positive")
+
     def steady_rpm(self, wind_mps: float, collective_deg: float) -> float:
         rpm = (self.rpm_offset + self.rpm_per_mps * wind_mps
                + self.rpm_per_deg * collective_deg)
@@ -210,8 +214,9 @@ class TurbineParams:
     rotor: RotorModel = field(default_factory=RotorModel)
 
     def __post_init__(self):
-        if self.ts <= 0.0:
-            raise ValueError("ts: must be positive")
+        for name in ("ts", "servo_bandwidth_hz", "wind_lowpass_tau_s"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name}: must be positive")
 
     @property
     def servo_pole(self) -> float:

@@ -9,6 +9,7 @@ phase reference is azimuth rather than time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,29 +70,57 @@ def basis_rows(angles: np.ndarray, n_channels: int,
 
 def control_sample(theta: np.ndarray, azimuth: float, n_inputs: int,
                    harmonics: tuple[int, ...] = (1, 2)) -> np.ndarray:
-    """Per-sample input u = ([sin psi, cos psi, sin 2psi, ...] kron I_r) theta."""
-    row = basis_rows(np.array([azimuth]), n_inputs, harmonics)
-    return row @ theta
+    """Per-sample input u = ([sin psi, cos psi, sin 2psi, ...] kron I_r) theta.
+
+    The kron row is never formed: theta, reshaped to one row of r
+    amplitudes per basis function, is weighted by the sinusoids directly.
+    """
+    core = np.array([f(h * azimuth) for h in harmonics
+                     for f in (math.sin, math.cos)])
+    return core @ theta.reshape(-1, n_inputs)
 
 
 @dataclass(frozen=True)
 class LiftedPredictor:
-    """Period-lifted predictor Y_{k+P} = Y_k + GKu dU_k + GKy dY_k + H dU_{k+P}."""
+    """Period-lifted predictor Y_{k+P} = Y_k + GKu dU_k + GKy dY_k + H dU_{k+P}.
 
-    gku: np.ndarray  # (l P) x (r P)
-    gky: np.ndarray  # (l P) x (l P)
-    h: np.ndarray    # (l P) x (r P)
+    With Gt the strictly block-lower Toeplitz matrix of the output Markov
+    blocks, GKu = (I - Gt)^{-1} GKu_t, and likewise for GKy and H. The
+    predictor keeps I - Gt and the unsolved right-hand sides, so a caller
+    that only needs products with a few columns solves for those alone.
+    """
+
+    ig: np.ndarray     # I - Gt, unit block-lower-triangular, (l P) x (l P)
+    gku_t: np.ndarray  # (l P) x (r P)
+    gky_t: np.ndarray  # (l P) x (l P)
+    ht: np.ndarray     # (l P) x (r P)
     period: int
     past_window: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(I - Gt)^{-1} rhs by forward substitution."""
+        return solve_triangular(self.ig, rhs, lower=True, unit_diagonal=True)
+
+    @property
+    def gku(self) -> np.ndarray:
+        return self.solve(self.gku_t)
+
+    @property
+    def gky(self) -> np.ndarray:
+        return self.solve(self.gky_t)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.solve(self.ht)
 
 
 def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
                        n_inputs: int, n_outputs: int) -> LiftedPredictor:
     """Build the lifted predictor from the Markov estimate alone.
 
-    The Toeplitz/observability products are assembled blockwise from the
-    Markov blocks, then the unit block-lower-triangular (I - Gt) system is
-    applied by forward substitution.
+    Markov block q (lag q + 1) fills block subdiagonal q + 1 of Gt and H,
+    and the top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t,
+    written by index on (P, l, P, .) views of the lifted matrices.
     """
     p, P, r, l = past_window, period, n_inputs, n_outputs
     if P < p:
@@ -99,42 +128,48 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     if markov.shape != (l, (r + l) * p):
         raise ValueError("Markov matrix has the wrong shape")
 
-    mu = [markov[:, (p - 1 - j) * r:(p - j) * r] for j in range(p)]
-    my = [markov[:, r * p + (p - 1 - j) * l:r * p + (p - j) * l]
-          for j in range(p)]
+    # Blocks indexed by lag - 1: the Markov matrix stores the oldest first.
+    mu = markov[:, :r * p].reshape(l, p, r).transpose(1, 0, 2)[::-1]
+    my = markov[:, r * p:].reshape(l, p, l).transpose(1, 0, 2)[::-1]
+    i, j = np.indices((P, P))
+    lag = i - j
+    sub = (lag >= 1) & (lag <= p)      # strict block subdiagonals 1..p
+    top = (-lag >= P - p)              # top-right corner blocks
+    si, sj, sq = i[sub], j[sub], lag[sub] - 1
+    ci, cj, cq = i[top], j[top], P - 1 + lag[top]
 
-    ht = np.zeros((l * P, r * P))
-    gt = np.zeros((l * P, l * P))
-    gku_t = np.zeros((l * P, r * P))
-    gky_t = np.zeros((l * P, l * P))
-    for q in range(p):
-        sub = np.eye(P, P, -(q + 1))  # strict block subdiagonal q+1
-        ht += np.kron(sub, mu[q])
-        gt += np.kron(sub, my[q])
-        sup = np.eye(P, P, P - 1 - q)  # top-right corner blocks
-        gku_t += np.kron(sup, mu[q])
-        gky_t += np.kron(sup, my[q])
-
-    ig = np.eye(l * P) - gt
-    gku = solve_triangular(ig, gku_t, lower=True, unit_diagonal=True)
-    gky = solve_triangular(ig, gky_t, lower=True, unit_diagonal=True)
-    h = solve_triangular(ig, ht, lower=True, unit_diagonal=True)
-    return LiftedPredictor(gku=gku, gky=gky, h=h, period=P, past_window=p)
+    ht = np.zeros((P, l, P, r))
+    gt = np.zeros((P, l, P, l))
+    gku_t = np.zeros((P, l, P, r))
+    gky_t = np.zeros((P, l, P, l))
+    ht[si, :, sj, :] = mu[sq]
+    gt[si, :, sj, :] = my[sq]
+    gku_t[ci, :, cj, :] = mu[cq]
+    gky_t[ci, :, cj, :] = my[cq]
+    return LiftedPredictor(ig=np.eye(l * P) - gt.reshape(l * P, l * P),
+                           gku_t=gku_t.reshape(l * P, r * P),
+                           gky_t=gky_t.reshape(l * P, l * P),
+                           ht=ht.reshape(l * P, r * P),
+                           period=P, past_window=p)
 
 
 def project_predictor(lp: LiftedPredictor,
                       basis: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Project the lifted system onto the basis; returns (Abar, Bbar).
 
+    pinv (I - Gt)^{-1} X phi is formed as pinv (I - Gt)^{-1} (X phi): one
+    triangular solve against the 3 nb projected columns of GKu_t, GKy_t
+    and Ht instead of three solves against their full lifted width.
     The lifted state is [Ybar; dtheta; dYbar]; with two harmonics and
     r = l the projected transition matrix is 12l x 12l.
     """
-    if lp.gku.shape != lp.gky.shape:
+    if lp.gku_t.shape != lp.gky_t.shape:
         raise ValueError("projection requires as many inputs as outputs")
     nb = basis.n_params
-    pu = basis.pinv @ lp.gku @ basis.phi
-    py = basis.pinv @ lp.gky @ basis.phi
-    ph = basis.pinv @ lp.h @ basis.phi
+    phi = basis.phi
+    solved = lp.solve(np.hstack([lp.gku_t @ phi, lp.gky_t @ phi,
+                                 lp.ht @ phi]))
+    pu, py, ph = np.hsplit(basis.pinv @ solved, 3)
     eye = np.eye(nb)
     zero = np.zeros((nb, nb))
     abar = np.block([

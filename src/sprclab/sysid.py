@@ -22,10 +22,13 @@ class NumericError(ArithmeticError):
 
 
 class DeltaBuffer:
-    """Ring buffers of u and y spanning P + p samples.
+    """Period differences of u and y over the last p + 1 samples.
 
-    After pushing sample k, `delta_y()` returns y_k - y_{k-P} and
-    `regressor()` returns the stacked window
+    `push` forms the delta row [du_k, dy_k] = [u_k - u_{k-P}, y_k - y_{k-P}]
+    once and writes it twice into a doubled ring of 2 (p + 1) rows, so the
+    last p + 1 delta rows always lie contiguously; the raw u/y ring keeps
+    only the last P samples the differencing reads. After pushing sample k,
+    `delta_y()` returns dy_k and `regressor()` returns the stacked window
     [du_{k-p}; ...; du_{k-1}; dy_{k-p}; ...; dy_{k-1}] whose inner product
     with the Markov matrix predicts dy_k.
     """
@@ -38,9 +41,9 @@ class DeltaBuffer:
         self.past_window = past_window
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self._size = period + past_window + 1
-        self._u = np.zeros((self._size, n_inputs))
-        self._y = np.zeros((self._size, n_outputs))
+        width = n_inputs + n_outputs
+        self._raw = np.zeros((period, width))
+        self._deltas = np.zeros((2 * (past_window + 1), width))
         self._count = 0
 
     @property
@@ -49,30 +52,32 @@ class DeltaBuffer:
         return self._count >= self.period + self.past_window + 1
 
     def push(self, u: np.ndarray, y: np.ndarray) -> None:
-        idx = self._count % self._size
-        self._u[idx] = u
-        self._y[idx] = y
+        k = self._count
+        row = np.concatenate((u, y))
+        oldest = k % self.period  # holds sample k - P
+        delta = row - self._raw[oldest]
+        self._raw[oldest] = row
+        slot = k % (self.past_window + 1)
+        self._deltas[slot] = delta
+        self._deltas[slot + self.past_window + 1] = delta
         self._count += 1
 
-    def _at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._u[k % self._size], self._y[k % self._size]
+    def _window(self) -> np.ndarray:
+        """Delta rows k-p, ..., k for the most recent sample k."""
+        self._require_ready()
+        slot = (self._count - 1) % (self.past_window + 1)
+        return self._deltas[slot + 1:slot + self.past_window + 2]
 
     def delta_y(self) -> np.ndarray:
         """dy_k = y_k - y_{k-P} for the most recent sample k."""
-        self._require_ready()
-        k = self._count - 1
-        return self._at(k)[1] - self._at(k - self.period)[1]
+        # A copy: callers keep the target while later pushes reuse the row.
+        return self._window()[-1, self.n_inputs:].copy()
 
     def regressor(self) -> np.ndarray:
         """Stacked delta window aligned to predict dy_k."""
-        self._require_ready()
-        k = self._count - 1
-        p, P = self.past_window, self.period
-        du = [self._at(k - p + j)[0] - self._at(k - p + j - P)[0]
-              for j in range(p)]
-        dy = [self._at(k - p + j)[1] - self._at(k - p + j - P)[1]
-              for j in range(p)]
-        return np.concatenate([np.concatenate(du), np.concatenate(dy)])
+        past = self._window()[:-1]
+        r = self.n_inputs
+        return np.concatenate((past[:, :r], past[:, r:]), axis=None)
 
     def _require_ready(self) -> None:
         if not self.ready:

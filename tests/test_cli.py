@@ -48,6 +48,15 @@ MALFORMED = {
     "sprc.harmonics": {"sprc": {"harmonics": [1]}},
     "events[0].value": {"events": [{"time_s": 6.0, "kind": "wind_mean"}]},
     "plant.ts": {"plant": {"ts": 0.0}},
+    "plant.wind_lowpass_tau_s": {"plant": {"wind_lowpass_tau_s": 0.0}},
+    "plant.rotor.tau_s": {"plant": {"rotor": {"tau_s": 0.0}}},
+    "plant.servo_bandwidth_hz": {"plant": {"servo_bandwidth_hz": -15.0}},
+    "cipc.notch_pole_radius": {"cipc": {"notch_pole_radius": 1.5}},
+    "events[0].time_s": {"events": [
+        {"time_s": 500.0, "kind": "wind_mean", "value": 5.0}]},
+    "events[1].time_s": {"events": [
+        {"time_s": 6.0, "kind": "wind_mean", "value": 5.0},
+        {"time_s": -1.0, "kind": "collective_pitch", "value": 4.0}]},
 }
 
 
@@ -58,6 +67,21 @@ def test_malformed_config_names_path(tmp_path, capsys, path):
     rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
     assert rc == 1
     assert f"{path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("mode", "lidar"),
+                                        ("mean_wind", 4.5),
+                                        ("controller", "cipc")])
+def test_sweep_refuses_base_config_with_swept_key(tmp_path, capsys, key,
+                                                  value):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({key: value, "duration": 6.0,
+                                "eval_start_s": 3.0}))
+    rc = main(["sweep", "--config", str(base), "--controllers", "cipc",
+               "--output", str(tmp_path)])
+    assert rc == 1
+    assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_table.json").exists()
 
 
 def test_exported_config_reruns_identically(tmp_path, capsys):

@@ -66,6 +66,18 @@ class TestControlSample:
         spectrum = np.abs(np.fft.rfft(sweep))**2
         assert (spectrum[1] + spectrum[2]) / spectrum.sum() > 0.999
 
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_matches_basis_rows(self, harmonics, r):
+        # Oracle: the kron basis row at the same azimuth times theta.
+        rng = np.random.default_rng(len(harmonics) * 10 + r)
+        for psi in rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 200):
+            theta = rng.standard_normal(2 * len(harmonics) * r)
+            expected = basis_rows(np.array([psi]), r, harmonics) @ theta
+            np.testing.assert_allclose(
+                control_sample(theta, psi, r, harmonics), expected,
+                rtol=0.0, atol=1e-14)
+
 
 class TestAssemblePredictor:
     def test_zero_markov_gives_open_loop_predictor(self):
@@ -104,6 +116,26 @@ class TestAssemblePredictor:
     def test_period_shorter_than_window_rejected(self):
         with pytest.raises(ValueError):
             assemble_predictor(np.zeros((1, 8)), 4, 3, 1, 1)
+
+    @pytest.mark.parametrize("p, P, r, l", [(1, 6, 1, 1), (3, 12, 2, 2),
+                                            (4, 4, 2, 3), (5, 9, 3, 2),
+                                            (20, 46, 2, 2)])
+    def test_blocks_match_kron_reference(self, p, P, r, l):
+        # Reference: Markov block q (lag q + 1) placed by Kronecker
+        # products with shifted identities.
+        markov = np.random.default_rng(p + P).standard_normal((l, (r + l) * p))
+        mu = [markov[:, (p - 1 - q) * r:(p - q) * r] for q in range(p)]
+        my = [markov[:, r * p + (p - 1 - q) * l:r * p + (p - q) * l]
+              for q in range(p)]
+        ht = sum(np.kron(np.eye(P, P, -(q + 1)), mu[q]) for q in range(p))
+        gt = sum(np.kron(np.eye(P, P, -(q + 1)), my[q]) for q in range(p))
+        gku_t = sum(np.kron(np.eye(P, P, P - 1 - q), mu[q]) for q in range(p))
+        gky_t = sum(np.kron(np.eye(P, P, P - 1 - q), my[q]) for q in range(p))
+        lp = assemble_predictor(markov, p, P, r, l)
+        np.testing.assert_array_equal(lp.ht, ht)
+        np.testing.assert_array_equal(lp.ig, np.eye(l * P) - gt)
+        np.testing.assert_array_equal(lp.gku_t, gku_t)
+        np.testing.assert_array_equal(lp.gky_t, gky_t)
 
     def test_matches_lti_oracle(self):
         # With exact Markov parameters and noise-free data, the lifted
@@ -160,6 +192,32 @@ class TestProjection:
         abar, bbar = project_predictor(lp, build_basis(P, r))
         assert abar.shape == (12 * r, 12 * r)
         assert bbar.shape == (12 * r, 4 * r)
+
+    @pytest.mark.parametrize("source", ["random", "lti"])
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    def test_matches_projection_of_solved_predictor(self, source, harmonics):
+        # Oracle: pinv @ X @ phi for the fully solved lifted blocks X.
+        if source == "lti":
+            model = make_benchmark_plant(seed=0, n=4, r=2, l=2)
+            p, P, r = choose_past_window(model, tol=1e-10), 46, 2
+            markov = model.markov_parameters(p)
+        else:
+            p, P, r = 6, 30, 2
+            rng = np.random.default_rng(5)
+            markov = 0.3 * rng.standard_normal((r, 2 * r * p))
+        lp = assemble_predictor(markov, p, P, r, r)
+        basis = build_basis(P, r, harmonics)
+        abar, bbar = project_predictor(lp, basis)
+        nb = basis.n_params
+        pu = basis.pinv @ lp.gku @ basis.phi
+        py = basis.pinv @ lp.gky @ basis.phi
+        ph = basis.pinv @ lp.h @ basis.phi
+        for rows in (slice(0, nb), slice(2 * nb, 3 * nb)):
+            np.testing.assert_allclose(abar[rows, nb:2 * nb], pu, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(abar[rows, 2 * nb:], py, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(bbar[rows], ph, rtol=0.0, atol=1e-12)
 
     def test_span_signals_reconstructed_losslessly(self):
         basis = build_basis(52, 2)
@@ -299,3 +357,64 @@ class TestController:
         angles = 2.0 * np.pi * np.arange(1, 53) / 52.0
         np.testing.assert_allclose(basis_rows(angles, 2), basis.phi,
                                    atol=1e-12)
+
+
+def _corrupted_closed_loop(kind: str):
+    """SPRC on the turbine surrogate, identifying for the first 10 s.
+
+    From 15 s on, the measured loads are corrupted once: `nan_burst` and
+    `inf_burst` replace 10 consecutive samples, `nan_at_wrap` replaces the
+    one sample on which the azimuth wraps. Returns the controller and the
+    time of the first corrupted sample.
+    """
+    params = TurbineParams()
+    state = TurbineState.initial(params, 5.0)
+    ctrl = SprcController(SprcConfig(ident_duration_s=10.0),
+                          2.0 * np.pi / state.omega / params.ts,
+                          ts=params.ts)
+    rng = np.random.default_rng(1)
+    start = int(15.0 / params.ts)
+    loads, prev_azimuth, corrupted = np.zeros(2), state.azimuth, []
+    for k in range(int(25.0 / params.ts)):
+        measured = loads
+        if kind == "nan_burst" and start <= k < start + 10:
+            measured = np.full(2, np.nan)
+        elif kind == "inf_burst" and start <= k < start + 10:
+            measured = np.array([np.inf, -np.inf])
+        elif (kind == "nan_at_wrap" and k >= start and not corrupted
+              and state.azimuth < prev_azimuth):
+            measured = np.array([np.nan, loads[1]])
+        if measured is not loads:
+            corrupted.append(k)
+        prev_azimuth = state.azimuth
+        u = ctrl.step(measured, state.azimuth, state.omega)
+        assert np.all(np.isfinite(u))
+        loads, state = turbine_step(state, params, 2.0 + u, 5.0, rng)
+    return ctrl, corrupted[0] * params.ts
+
+
+class TestFailSafeAfterIdentification:
+    @pytest.mark.parametrize("kind", ["nan_burst", "nan_at_wrap",
+                                      "inf_burst"])
+    def test_faults_flagged_theta_held_then_recovered(self, kind):
+        ctrl, t_bad = _corrupted_closed_loop(kind)
+        tel = ctrl.telemetry
+        # The rotation that holds the corrupted sample, and every record
+        # from there up to the first one without a fault.
+        hit = max(i for i, t in enumerate(tel) if t.time_s <= t_bad)
+        assert not any(t.fault for t in tel[:hit])
+        assert tel[hit].fault
+        end = next(i for i in range(hit, len(tel)) if not tel[i].fault)
+        assert end - hit >= 2
+        assert not any(t.fault for t in tel[end:])
+        # While faults persist the controller holds the last good theta,
+        # the one synthesized before the corrupted sample arrived.
+        held = tel[hit].theta
+        assert np.all(np.isfinite(held))
+        for t in tel[hit + 1:end]:
+            np.testing.assert_array_equal(t.theta, held)
+            assert np.isnan(t.gain_norm)
+        # A later rotation synthesizes again.
+        assert np.isfinite(tel[end].gain_norm)
+        assert not np.array_equal(tel[end].theta, held)
+        assert np.all(np.isfinite(ctrl.theta))

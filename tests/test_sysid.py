@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sprclab.plant import make_benchmark_plant, simulate_lti
 from sprclab.sysid import (BatchResult, DeltaBuffer, MarkovEstimate,
@@ -47,6 +49,39 @@ class TestDeltaBuffer:
                 buf.regressor()
         buf.push(np.zeros(1), np.zeros(1))
         buf.regressor()
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 30), p=st.integers(1, 12), r=st.integers(1, 3),
+           l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_window_matches_definition_from_full_history(self, P, p, r, l,
+                                                         seed):
+        # Oracle: the deltas recomputed from the whole u/y history, checked
+        # after every sample through at least three wraps of the raw ring
+        # (P rows) and of the delta ring (p + 1 rows).
+        steps = 4 * (P + p + 1)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((steps, r))
+        y = rng.standard_normal((steps, l))
+        buf = DeltaBuffer(P, p, r, l)
+        for k in range(steps):
+            buf.push(u[k], y[k])
+            assert buf.ready == (k >= P + p)
+            if not buf.ready:
+                continue
+            past = range(k - p, k)
+            expected = np.concatenate([u[j] - u[j - P] for j in past]
+                                      + [y[j] - y[j - P] for j in past])
+            np.testing.assert_array_equal(buf.regressor(), expected)
+            np.testing.assert_array_equal(buf.delta_y(), y[k] - y[k - P])
+
+    def test_delta_y_is_not_overwritten_by_later_pushes(self):
+        buf = DeltaBuffer(3, 1, 1, 1)
+        for k in range(5):
+            buf.push(np.array([0.0]), np.array([float(k * k)]))
+        dy = buf.delta_y()
+        for k in range(5, 12):
+            buf.push(np.array([0.0]), np.array([float(k * k)]))
+        np.testing.assert_array_equal(dy, [16.0 - 1.0])
 
 
 def _random_rows(dim, outputs, count, seed):
