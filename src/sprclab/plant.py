@@ -8,7 +8,8 @@ a first-order rotor-speed response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,9 +175,9 @@ class LoadModel:
         shift = self.phase_per_collective_rad_per_deg * collective_deg
         return (self.mean_nm
                 + amp_scale * self.amp_1p_nm
-                * np.cos(blade_azimuth + self.phase_1p_rad + shift)
+                * math.cos(blade_azimuth + self.phase_1p_rad + shift)
                 + amp_scale * self.amp_2p_nm
-                * np.cos(2.0 * blade_azimuth + self.phase_2p_rad + shift))
+                * math.cos(2.0 * blade_azimuth + self.phase_2p_rad + shift))
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def turbine_step(state: TurbineState, params: TurbineParams,
     if pitch_cmd.shape != (N_BLADES,):
         raise ValueError("pitch command must have one entry per blade")
 
-    loads_model = params.loads
+    lm = params.loads
     # Servo: first-order lag toward the command.
     a = params.servo_pole
     servo = a * state.servo_pitch + (1.0 - a) * pitch_cmd
@@ -268,29 +269,23 @@ def turbine_step(state: TurbineState, params: TurbineParams,
     # Slow wind level for amplitude scaling and fluctuation reference.
     b = ts / params.wind_lowpass_tau_s
     wind_lp = state.wind_lp + b * (wind_sample - state.wind_lp)
-    amp_scale = (wind_lp / loads_model.wind_ref_mps) ** 2
+    amp_scale = (wind_lp / lm.wind_ref_mps) ** 2
     fluctuation = wind_sample - wind_lp
 
-    blade_azimuths = state.azimuth + np.arange(N_BLADES) * (
-        2.0 * np.pi / N_BLADES)
-    loads = np.empty(N_BLADES)
-    for i, az in enumerate(blade_azimuths):
-        periodic = loads_model.periodic_load(az, state.collective_pitch, amp_scale)
-        if i == 1:
-            periodic = (loads_model.mean_nm
-                        + loads_model.blade2_amp_ratio
-                        * (loads_model.periodic_load(
-                            az + loads_model.blade2_phase_shift_rad,
-                            state.collective_pitch, amp_scale)
-                           - loads_model.mean_nm))
-        wind_factor = 1.0 + loads_model.wind_1p_modulation * np.cos(az)
-        loads[i] = (periodic
-                    + loads_model.pitch_gain_nm_per_deg
-                    * (servo[i] - state.collective_pitch)
-                    + loads_model.wind_gain_nm_per_mps * wind_factor
-                    * fluctuation)
-    if rng is not None and loads_model.noise_std_nm > 0.0:
-        loads += loads_model.noise_std_nm * rng.standard_normal(N_BLADES)
+    # Blade 2 sits half a turn ahead; it is heavier and phase-shifted.
+    coll = state.collective_pitch
+    azimuths = (state.azimuth, state.azimuth + np.pi)
+    periodic = (lm.periodic_load(azimuths[0], coll, amp_scale),
+                lm.mean_nm + lm.blade2_amp_ratio
+                * (lm.periodic_load(azimuths[1] + lm.blade2_phase_shift_rad,
+                                    coll, amp_scale) - lm.mean_nm))
+    loads = np.array([
+        periodic[i] + lm.pitch_gain_nm_per_deg * (servo[i] - coll)
+        + lm.wind_gain_nm_per_mps
+        * (1.0 + lm.wind_1p_modulation * math.cos(az)) * fluctuation
+        for i, az in enumerate(azimuths)])
+    if rng is not None and lm.noise_std_nm > 0.0:
+        loads += lm.noise_std_nm * rng.standard_normal(N_BLADES)
 
     # Rotor speed relaxes toward the affine steady state; generator torque
     # only enters through that operating point (no drivetrain elasticity).
@@ -304,6 +299,5 @@ def turbine_step(state: TurbineState, params: TurbineParams,
         azimuth -= 2.0 * np.pi
         rotation_count += 1
 
-    new_state = replace(state, azimuth=azimuth, omega=omega, servo_pitch=servo,
-                        rotation_count=rotation_count, wind_lp=wind_lp)
-    return loads, new_state
+    return loads, TurbineState(azimuth, omega, servo, rotation_count,
+                               state.collective_pitch, wind_lp)

@@ -195,6 +195,8 @@ def solve_dare(abar: np.ndarray, bbar: np.ndarray, q_weight: np.ndarray,
                max_iterations: int = 500,
                tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
     """Iterate dare_step to a fixed point; returns (P, iterations, residual)."""
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     p_riccati = q_weight.copy() if p0 is None else p0.copy()
     residual = np.inf
     for it in range(1, max_iterations + 1):
@@ -239,6 +241,25 @@ class SprcConfig:
     ident_duration_s: float = 30.0
     excitation_amplitude_deg: float = 1.5
     period_fraction: float = 0.9
+
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("past_window", self.past_window >= 1, "be at least 1"),
+                ("dare_iterations", self.dare_iterations >= 1,
+                 "be at least 1"),
+                ("forgetting", 0.0 < self.forgetting <= 1.0, "lie in (0, 1]"),
+                ("period_fraction", 0.0 < self.period_fraction <= 1.0,
+                 "lie in (0, 1]"),
+                ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
+                ("beta", 0.0 <= self.beta <= 1.0, "lie in [0, 1]"),
+                ("q_weight", self.q_weight >= 0.0, "be non-negative"),
+                ("r_weight", self.r_weight > 0.0, "be positive"),
+                ("ident_duration_s", self.ident_duration_s >= 0.0,
+                 "be non-negative"),
+                ("excitation_amplitude_deg",
+                 self.excitation_amplitude_deg >= 0.0, "be non-negative")):
+            if not ok:
+                raise ValueError(f"{name}: must {rule}")
 
 
 @dataclass
@@ -295,6 +316,7 @@ class SprcController:
         self._sample = 0
         self._control_active = False
         self._had_control_rotation = False
+        self._pending_fault = False  # a sample of this rotation was refused
         self.telemetry: list[RotationTelemetry] = []
         self._draw_excitation()
 
@@ -335,13 +357,15 @@ class SprcController:
                 self.markov.update(self.buffer.regressor(),
                                    self.buffer.delta_y())
             except NumericError:
-                self._flag_fault()
+                self._pending_fault = True
         self._recent.append((azimuth, y))
         self._sample += 1
         return u
 
     def _on_rotation_boundary(self) -> None:
-        tel = RotationTelemetry(time_s=self._sample * self.ts)
+        tel = RotationTelemetry(time_s=self._sample * self.ts,
+                                fault=self._pending_fault)
+        self._pending_fault = False
         ybar = self._estimate_ybar()
         if ybar is not None:
             self.delta_ybar = ybar - self.ybar
@@ -397,17 +421,11 @@ class SprcController:
             if not np.all(np.isfinite(theta)):
                 raise NumericError("non-finite theta")
         except (NumericError, np.linalg.LinAlgError):
-            self._flag_fault(tel)
+            # Fail safe: hold the last good theta and mark the rotation.
+            tel.fault = True
             return
         self.p_riccati = p_r
         self.theta = theta
         self.delta_theta = dtheta
         tel.dare_residual = residual
         tel.gain_norm = float(np.linalg.norm(kf))
-
-    def _flag_fault(self, tel: RotationTelemetry | None = None) -> None:
-        # Fail safe: hold the last good theta and mark the rotation.
-        if tel is not None:
-            tel.fault = True
-        elif self.telemetry:
-            self.telemetry[-1].fault = True

@@ -10,7 +10,7 @@ serves as its oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 
 class NotReadyError(RuntimeError):
@@ -137,7 +137,8 @@ class MarkovEstimate:
         rhs = np.vstack([lam ** (m / 2.0) * self._rhs,
                          weights * np.asarray(self._pending_t)])
         compound = np.hstack([rows, rhs])
-        fac = np.linalg.qr(compound, mode="r")
+        # scipy's QR keeps the flush on the OpenBLAS pool of the solves.
+        fac = qr(compound, mode="r")[0]
         self._rfac = fac[:self.dim, :self.dim]
         self._rhs = fac[:self.dim, self.dim:]
         self._pending_z.clear()

@@ -57,6 +57,17 @@ MALFORMED = {
     "events[1].time_s": {"events": [
         {"time_s": 6.0, "kind": "wind_mean", "value": 5.0},
         {"time_s": -1.0, "kind": "collective_pitch", "value": 4.0}]},
+    "sprc.past_window": {"sprc": {"past_window": 0}},
+    "sprc.dare_iterations": {"sprc": {"dare_iterations": 0}},
+    "sprc.forgetting": {"sprc": {"forgetting": 1.5}},
+    "sprc.period_fraction": {"sprc": {"period_fraction": 0.0}},
+    "sprc.alpha": {"sprc": {"alpha": 2.0}},
+    "sprc.beta": {"sprc": {"beta": -0.5}},
+    "sprc.q_weight": {"sprc": {"q_weight": -1.0}},
+    "sprc.r_weight": {"sprc": {"r_weight": -1.0}},
+    "sprc.ident_duration_s": {"sprc": {"ident_duration_s": -5.0}},
+    "sprc.excitation_amplitude_deg": {"sprc": {
+        "excitation_amplitude_deg": -1.5}},
 }
 
 

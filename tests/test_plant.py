@@ -1,11 +1,62 @@
 """Tests for the LTI simulator and the turbine surrogate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sprclab.plant import (LoadModel, RotorModel, RPM_TO_RADS, StateSpaceModel,
                            TurbineParams, TurbineState, make_benchmark_plant,
                            simulate_lti, spectral_radius, turbine_step)
+
+
+def _reference_turbine_step(state, params, pitch_cmd, wind_sample, rng=None):
+    """The per-blade loop turbine_step replaced, with np.cos throughout."""
+    lm = params.loads
+
+    def periodic_load(az, collective, amp_scale):
+        shift = lm.phase_per_collective_rad_per_deg * collective
+        return (lm.mean_nm
+                + amp_scale * lm.amp_1p_nm
+                * np.cos(az + lm.phase_1p_rad + shift)
+                + amp_scale * lm.amp_2p_nm
+                * np.cos(2.0 * az + lm.phase_2p_rad + shift))
+
+    ts = params.ts
+    pitch_cmd = np.asarray(pitch_cmd, dtype=float)
+    a = params.servo_pole
+    servo = a * state.servo_pitch + (1.0 - a) * pitch_cmd
+    b = ts / params.wind_lowpass_tau_s
+    wind_lp = state.wind_lp + b * (wind_sample - state.wind_lp)
+    amp_scale = (wind_lp / lm.wind_ref_mps) ** 2
+    fluctuation = wind_sample - wind_lp
+    blade_azimuths = state.azimuth + np.arange(2) * (2.0 * np.pi / 2)
+    loads = np.empty(2)
+    for i, az in enumerate(blade_azimuths):
+        periodic = periodic_load(az, state.collective_pitch, amp_scale)
+        if i == 1:
+            periodic = (lm.mean_nm + lm.blade2_amp_ratio
+                        * (periodic_load(az + lm.blade2_phase_shift_rad,
+                                         state.collective_pitch, amp_scale)
+                           - lm.mean_nm))
+        wind_factor = 1.0 + lm.wind_1p_modulation * np.cos(az)
+        loads[i] = (periodic
+                    + lm.pitch_gain_nm_per_deg
+                    * (servo[i] - state.collective_pitch)
+                    + lm.wind_gain_nm_per_mps * wind_factor * fluctuation)
+    if rng is not None and lm.noise_std_nm > 0.0:
+        loads += lm.noise_std_nm * rng.standard_normal(2)
+    omega_ss = params.rotor.steady_rpm(wind_sample, state.collective_pitch)
+    omega_ss *= RPM_TO_RADS
+    omega = state.omega + ts / params.rotor.tau_s * (omega_ss - state.omega)
+    azimuth = state.azimuth + omega * ts
+    rotation_count = state.rotation_count
+    if azimuth >= 2.0 * np.pi:
+        azimuth -= 2.0 * np.pi
+        rotation_count += 1
+    return loads, replace(state, azimuth=azimuth, omega=omega,
+                          servo_pitch=servo, rotation_count=rotation_count,
+                          wind_lp=wind_lp)
 
 
 def _scalar_model(a=0.5, b=1.0, c=1.0, k=0.0):
@@ -138,6 +189,44 @@ class TestTurbineSurrogate:
             amps.append(np.max(np.abs(pitch[1000:])))
         assert all(a <= 1.0 + 1e-9 for a in amps)
         assert amps[0] > amps[1] > amps[2]
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_per_blade_reference_bitwise(self, seeded):
+        params = TurbineParams()
+        pick = np.random.default_rng(17)
+        wraps = 0
+        for case in range(400):
+            omega = pick.uniform(10.0, 40.0)
+            # Every fourth state sits just short of a full turn, so the
+            # step wraps the azimuth.
+            azimuth = (2.0 * np.pi - 0.5 * omega * params.ts if case % 4 == 0
+                       else pick.uniform(0.0, 2.0 * np.pi))
+            state = TurbineState(azimuth=azimuth, omega=omega,
+                                 servo_pitch=pick.uniform(-5.0, 15.0, 2),
+                                 rotation_count=int(pick.integers(0, 1000)),
+                                 collective_pitch=pick.uniform(0.5, 10.0),
+                                 wind_lp=pick.uniform(3.0, 8.0))
+            cmd = pick.uniform(-5.0, 15.0, 2)
+            wind = pick.uniform(2.0, 9.0)
+            noise = [np.random.default_rng(case) if seeded else None
+                     for _ in range(2)]
+            loads, new = turbine_step(state, params, cmd, wind, noise[0])
+            want_loads, want = _reference_turbine_step(state, params, cmd,
+                                                       wind, noise[1])
+            np.testing.assert_array_equal(loads, want_loads)
+            np.testing.assert_array_equal(new.servo_pitch, want.servo_pitch)
+            for name in ("azimuth", "omega", "rotation_count",
+                         "collective_pitch", "wind_lp"):
+                assert getattr(new, name) == getattr(want, name), name
+            wraps += new.rotation_count != state.rotation_count
+        assert wraps >= 100
+
+    def test_wrong_pitch_shape_rejected(self):
+        params = TurbineParams()
+        state = TurbineState.initial(params, 5.0)
+        for cmd in (np.zeros(3), np.zeros((2, 1)), 2.0):
+            with pytest.raises(ValueError):
+                turbine_step(state, params, cmd, 5.0)
 
     def test_nonpositive_ts_rejected(self):
         with pytest.raises(ValueError):

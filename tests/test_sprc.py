@@ -262,6 +262,11 @@ class TestDare:
         out = dare_step(np.eye(4), A, B, np.eye(4), np.eye(2))
         np.testing.assert_allclose(out, out.T, atol=1e-14)
 
+    def test_no_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_dare(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
+                       max_iterations=0)
+
 
 class TestFeedbackGain:
     def test_zero_transition_gives_zero_gain(self):
@@ -399,18 +404,21 @@ class TestFailSafeAfterIdentification:
     def test_faults_flagged_theta_held_then_recovered(self, kind):
         ctrl, t_bad = _corrupted_closed_loop(kind)
         tel = ctrl.telemetry
-        # The rotation that holds the corrupted sample, and every record
-        # from there up to the first one without a fault.
+        # The last record written before the corrupted sample arrived.
         hit = max(i for i, t in enumerate(tel) if t.time_s <= t_bad)
-        assert not any(t.fault for t in tel[:hit])
-        assert tel[hit].fault
-        end = next(i for i in range(hit, len(tel)) if not tel[i].fault)
-        assert end - hit >= 2
+        # No record written before the corrupted sample is flagged: the
+        # first flag lands on the next rotation's record, and every record
+        # from there up to the first one without a fault is flagged.
+        assert not any(t.fault for t in tel[:hit + 1])
+        assert tel[hit + 1].fault
+        end = next(i for i in range(hit + 1, len(tel)) if not tel[i].fault)
+        assert end - (hit + 1) >= 2
         assert not any(t.fault for t in tel[end:])
         # While faults persist the controller holds the last good theta,
         # the one synthesized before the corrupted sample arrived.
         held = tel[hit].theta
         assert np.all(np.isfinite(held))
+        assert np.isfinite(tel[hit].gain_norm)
         for t in tel[hit + 1:end]:
             np.testing.assert_array_equal(t.theta, held)
             assert np.isnan(t.gain_norm)

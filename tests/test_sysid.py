@@ -116,6 +116,25 @@ class TestMarkovEstimate:
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
+    def test_flush_does_not_use_numpy_qr(self, monkeypatch):
+        # The flush factorizes with scipy.linalg.qr, on the same OpenBLAS
+        # pool as the triangular solves; numpy bundles a second pool.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        r, l, p = 2, 2, 3
+        dim = (r + l) * p
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((150, dim))
+        t = rng.standard_normal((150, l))
+        est = MarkovEstimate(r, l, p, forgetting=1.0, flush_every=64)
+        for zi, ti in zip(z, t):
+            est.update(zi, ti)
+        batch = batch_solve(z, t, forgetting=1.0).markov
+        gap = np.linalg.norm(est.estimate - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
     def test_zero_regressors_leave_estimate_at_init(self):
         est = MarkovEstimate(1, 1, 2)
         for _ in range(100):
