@@ -9,7 +9,7 @@ integrators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ def coleman_inverse(tilt_cmd: float, yaw_cmd: float,
 class _Notch:
     """Second-order IIR notch with retunable center frequency."""
 
-    def __init__(self, pole_radius: float = 0.9):
+    def __init__(self, pole_radius: float):
         self.pole_radius = pole_radius
         self._x = np.zeros(2)
         self._y = np.zeros(2)
@@ -68,14 +68,8 @@ class CipcConfig:
     def __post_init__(self):
         if not 0.0 < self.notch_pole_radius < 1.0:
             raise ValueError("notch_pole_radius: must lie in (0, 1)")
-
-
-@dataclass
-class CipcState:
-    """Integrator and filter states for the tilt and yaw channels."""
-
-    integrator: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    notches: list = field(default_factory=list)
+        if self.pitch_limit_deg <= 0.0:
+            raise ValueError("pitch_limit_deg: must be positive")
 
 
 class CipcController:
@@ -88,8 +82,9 @@ class CipcController:
         self.config = config or CipcConfig()
         self.ts = ts
         self.telemetry: list = []  # CIPC keeps no per-rotation record
-        self.state = CipcState(notches=[_Notch(self.config.notch_pole_radius),
-                                        _Notch(self.config.notch_pole_radius)])
+        # Tilt and yaw channel states.
+        self.integrator = np.zeros(2)
+        self.notches = [_Notch(self.config.notch_pole_radius) for _ in range(2)]
 
     def step(self, loads: np.ndarray, azimuth: float,
              omega: float) -> np.ndarray:
@@ -99,15 +94,15 @@ class CipcController:
         center = min(2.0 * omega * self.ts, np.pi * 0.9)
         commands = np.empty(2)
         for i, raw in enumerate((tilt, yaw)):
-            filtered = self.state.notches[i].step(raw, center)
+            filtered = self.notches[i].step(raw, center)
             error = -filtered
-            integ = self.state.integrator[i] + error * self.ts
+            integ = self.integrator[i] + error * self.ts
             cmd = cfg.kp * error + cfg.ki * integ
             # Anti-windup: clamp the integrator at the pitch limits.
             if abs(cmd) > cfg.pitch_limit_deg and cfg.ki != 0.0:
                 integ = (np.sign(cmd) * cfg.pitch_limit_deg
                          - cfg.kp * error) / cfg.ki
                 cmd = cfg.kp * error + cfg.ki * integ
-            self.state.integrator[i] = integ
+            self.integrator[i] = integ
             commands[i] = cmd
         return coleman_inverse(commands[0], commands[1], azimuth)

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -100,10 +99,8 @@ def _cmd_psd(args: argparse.Namespace) -> None:
         raise ValueError(f"column {column!r} not found in {args.series}")
     freqs, power = welch_psd(data[column], args.rate,
                              segment_length=args.segment)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["frequency_hz", "power"])
-    for f, p in zip(freqs, power):
-        writer.writerow([f"{f:.6g}", f"{p:.6g}"])
+    np.savetxt(sys.stdout, np.column_stack([freqs, power]), fmt="%.6g",
+               delimiter=",", header="frequency_hz,power", comments="")
 
 
 def _cmd_windgen(args: argparse.Namespace) -> None:
@@ -112,12 +109,10 @@ def _cmd_windgen(args: argparse.Namespace) -> None:
                                 args.seed)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"wind_{args.mode}_{args.mean:g}_{args.seed}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "speed"])
-        for t, v in zip(series.time(), series.samples):
-            writer.writerow([f"{t:.6f}", f"{v:.9g}"])
+    np.savetxt(outdir / f"wind_{args.mode}_{args.mean:g}_{args.seed}.csv",
+               np.column_stack([series.time(), series.samples]),
+               fmt=["%.6f", "%.9g"], delimiter=",", newline="\r\n",
+               header="time,speed", comments="")
     stats = harness.wind_stats(series)
     with open(outdir / f"wind_{args.mode}_{args.mean:g}_{args.seed}.json",
               "w") as fh:

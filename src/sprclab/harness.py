@@ -8,7 +8,6 @@ controlled runs may only be compared when their wind and noise seeds match.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ from .codec import decode, encode
 from .plant import (N_BLADES, RPM_TO_RADS, TurbineParams, TurbineState,
                     turbine_step)
 from .spectral import band_power, loglog_slope, welch_psd
-from .sprc import SprcConfig, SprcController
+from .sprc import RotationTelemetry, SprcConfig, SprcController
 
 SCHEMA_VERSION = 1
 CONTROLLERS = ("none", "cipc", "sprc-1p", "sprc-1p2p")
@@ -110,9 +109,7 @@ class ExperimentRecord:
     azimuth: np.ndarray
     omega: np.ndarray  # rad/s
     wind: np.ndarray
-    theta_times: np.ndarray
-    theta_trace: np.ndarray  # rotations x n_params (empty for non-SPRC)
-    delta_theta_norms: np.ndarray
+    rotations: list[RotationTelemetry]  # per SPRC rotation, else empty
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -201,17 +198,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
         prev_loads, state = turbine_step(state, params, cmd, wind[k], rng)
         loads[k] = prev_loads
 
-    telemetry = controller.telemetry
-    theta_times = np.array([t.time_s for t in telemetry])
-    theta_trace = (np.array([t.theta for t in telemetry])
-                   if telemetry else np.zeros((0, 0)))
-    dtheta = np.array([t.delta_theta_norm for t in telemetry])
-
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
                               loads=loads, azimuth=azimuth, omega=omega,
-                              wind=wind, theta_times=theta_times,
-                              theta_trace=theta_trace,
-                              delta_theta_norms=dtheta)
+                              wind=wind, rotations=controller.telemetry)
     record.metrics = _basic_metrics(record)
     return record
 
@@ -272,19 +261,11 @@ def actuator_duty(record: ExperimentRecord) -> list[float]:
 
 
 def export_csv(record: ExperimentRecord, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "u1", "u2", "y1", "y2", "psi", "omega",
-                         "wind"])
-        for k in range(len(record.time)):
-            writer.writerow([f"{record.time[k]:.6f}",
-                             f"{record.pitch[k, 0]:.9g}",
-                             f"{record.pitch[k, 1]:.9g}",
-                             f"{record.loads[k, 0]:.9g}",
-                             f"{record.loads[k, 1]:.9g}",
-                             f"{record.azimuth[k]:.9g}",
-                             f"{record.omega[k]:.9g}",
-                             f"{record.wind[k]:.9g}"])
+    columns = np.column_stack([record.time, record.pitch, record.loads,
+                               record.azimuth, record.omega, record.wind])
+    np.savetxt(path, columns, fmt=["%.6f"] + ["%.9g"] * 7, delimiter=",",
+               newline="\r\n", header="time,u1,u2,y1,y2,psi,omega,wind",
+               comments="")
 
 
 def export_json(record: ExperimentRecord, path: str) -> None:
@@ -298,8 +279,7 @@ def export_json(record: ExperimentRecord, path: str) -> None:
 
 
 def sweep_configs(controller: str, seeds: Seeds,
-                  base: ExperimentConfig | None = None,
-                  modes=SWEEP_MODES, speeds=SWEEP_SPEEDS) -> list[ExperimentConfig]:
+                  base: ExperimentConfig | None = None) -> list[ExperimentConfig]:
     """The 12-cell grid (modes x speeds) for one controller.
 
     The grid sets the SWEPT_FIELDS of every cell, so the base config's
@@ -308,7 +288,7 @@ def sweep_configs(controller: str, seeds: Seeds,
     base = base or ExperimentConfig()
     return [replace(base, mode=mode, mean_wind=speed, controller=controller,
                     seeds=seeds)
-            for mode in modes for speed in speeds]
+            for mode in SWEEP_MODES for speed in SWEEP_SPEEDS]
 
 
 def compare_table(records: dict[str, dict[tuple[str, float], ExperimentRecord]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -169,6 +170,12 @@ class LoadModel:
     noise_std_nm: float = 0.36
     wind_ref_mps: float = 5.0
 
+    def __post_init__(self):
+        if self.noise_std_nm < 0.0:
+            raise ValueError("noise_std_nm: must be non-negative")
+        if self.wind_ref_mps <= 0.0:
+            raise ValueError("wind_ref_mps: must be positive")
+
     def periodic_load(self, blade_azimuth: float, collective_deg: float,
                       amp_scale: float) -> float:
         """Azimuth-periodic component for one blade at its own azimuth."""
@@ -195,8 +202,9 @@ class RotorModel:
     min_rpm: float = 30.0
 
     def __post_init__(self):
-        if self.tau_s <= 0.0:
-            raise ValueError("tau_s: must be positive")
+        for name in ("tau_s", "min_rpm"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name}: must be positive")
 
     def steady_rpm(self, wind_mps: float, collective_deg: float) -> float:
         rpm = (self.rpm_offset + self.rpm_per_mps * wind_mps
@@ -218,8 +226,11 @@ class TurbineParams:
         for name in ("ts", "servo_bandwidth_hz", "wind_lowpass_tau_s"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name}: must be positive")
+        if self.ts > TS_DEFAULT:
+            # The wind synthesis needs a rate of at least 200 Hz.
+            raise ValueError(f"ts: must be at most {TS_DEFAULT} s")
 
-    @property
+    @cached_property
     def servo_pole(self) -> float:
         """Discrete pole of the first-order pitch servo lag."""
         return float(np.exp(-2.0 * np.pi * self.servo_bandwidth_hz * self.ts))
@@ -232,7 +243,6 @@ class TurbineState:
     azimuth: float  # rad in [0, 2pi)
     omega: float  # rad/s
     servo_pitch: np.ndarray  # deg, one lag state per blade
-    rotation_count: int
     collective_pitch: float  # deg
     wind_lp: float  # low-passed wind speed, m/s
 
@@ -242,7 +252,7 @@ class TurbineState:
         omega = params.rotor.steady_rpm(wind_mps, collective_deg) * RPM_TO_RADS
         return cls(azimuth=0.0, omega=omega,
                    servo_pitch=np.full(N_BLADES, collective_deg),
-                   rotation_count=0, collective_pitch=collective_deg,
+                   collective_pitch=collective_deg,
                    wind_lp=wind_mps)
 
 
@@ -294,10 +304,8 @@ def turbine_step(state: TurbineState, params: TurbineParams,
     omega = state.omega + ts / params.rotor.tau_s * (omega_ss - state.omega)
 
     azimuth = state.azimuth + omega * ts
-    rotation_count = state.rotation_count
     if azimuth >= 2.0 * np.pi:
         azimuth -= 2.0 * np.pi
-        rotation_count += 1
 
-    return loads, TurbineState(azimuth, omega, servo, rotation_count,
-                               state.collective_pitch, wind_lp)
+    return loads, TurbineState(azimuth, omega, servo, state.collective_pitch,
+                               wind_lp)

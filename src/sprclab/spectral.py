@@ -6,9 +6,9 @@ import numpy as np
 from scipy import signal
 
 
-def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None,
-              overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged Hann-windowed periodogram with density scaling.
+def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged Hann-windowed periodogram with half-overlapping segments.
 
     Density scaling keeps the estimate Parseval-consistent: integrating
     the returned power over frequency recovers the signal variance.
@@ -18,13 +18,9 @@ def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
         segment_length = min(len(series), 4096)
     if segment_length > len(series) or segment_length < 8:
         raise ValueError("invalid segment length for series")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must be in [0, 1)")
-    noverlap = int(segment_length * overlap)
-    freqs, power = signal.welch(series, fs=rate, window="hann",
-                                nperseg=segment_length, noverlap=noverlap,
-                                detrend="constant", scaling="density")
-    return freqs, power
+    return signal.welch(series, fs=rate, window="hann", nperseg=segment_length,
+                        noverlap=segment_length // 2, detrend="constant",
+                        scaling="density")
 
 
 def band_power(freqs: np.ndarray, power: np.ndarray, f_low: float,

@@ -19,24 +19,12 @@ from .plant import N_BLADES, TS_DEFAULT
 from .sysid import DeltaBuffer, MarkovEstimate, NumericError
 
 
-def _quadrature_rows(angles: np.ndarray, harmonics: tuple[int, ...]) -> np.ndarray:
-    """Rows [sin(h a), cos(h a) for h in harmonics] for each angle."""
-    cols = []
-    for h in harmonics:
-        cols.append(np.sin(h * angles))
-        cols.append(np.cos(h * angles))
-    return np.column_stack(cols)
-
-
 @dataclass(frozen=True)
 class BasisMatrix:
     """Sinusoidal basis phi over one period and its pseudoinverse."""
 
     phi: np.ndarray
     pinv: np.ndarray
-    period: int
-    n_inputs: int
-    harmonics: tuple[int, ...]
 
     @property
     def n_params(self) -> int:
@@ -55,16 +43,19 @@ def build_basis(period: int, n_inputs: int,
     if n_inputs < 1:
         raise ValueError("need at least one input")
     angles = 2.0 * np.pi * np.arange(1, period + 1) / period
-    core = _quadrature_rows(angles, harmonics)
-    phi = np.kron(core, np.eye(n_inputs))
-    return BasisMatrix(phi=phi, pinv=np.linalg.pinv(phi), period=period,
-                       n_inputs=n_inputs, harmonics=harmonics)
+    phi = basis_rows(angles, n_inputs, harmonics)
+    return BasisMatrix(phi=phi, pinv=np.linalg.pinv(phi))
 
 
 def basis_rows(angles: np.ndarray, n_channels: int,
                harmonics: tuple[int, ...] = (1, 2)) -> np.ndarray:
-    """Basis rows evaluated at arbitrary azimuths (non-uniform sampling)."""
-    core = _quadrature_rows(np.asarray(angles, dtype=float), harmonics)
+    """Rows [sin(h a), cos(h a) for h in harmonics] kron I_r at each azimuth.
+
+    The azimuths may be sampled non-uniformly.
+    """
+    angles = np.asarray(angles, dtype=float)
+    core = np.column_stack([f(h * angles) for h in harmonics
+                            for f in (np.sin, np.cos)])
     return np.kron(core, np.eye(n_channels))
 
 
@@ -94,8 +85,6 @@ class LiftedPredictor:
     gku_t: np.ndarray  # (l P) x (r P)
     gky_t: np.ndarray  # (l P) x (l P)
     ht: np.ndarray     # (l P) x (r P)
-    period: int
-    past_window: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(I - Gt)^{-1} rhs by forward substitution."""
@@ -149,8 +138,7 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     return LiftedPredictor(ig=np.eye(l * P) - gt.reshape(l * P, l * P),
                            gku_t=gku_t.reshape(l * P, r * P),
                            gky_t=gky_t.reshape(l * P, l * P),
-                           ht=ht.reshape(l * P, r * P),
-                           period=P, past_window=p)
+                           ht=ht.reshape(l * P, r * P))
 
 
 def project_predictor(lp: LiftedPredictor,
@@ -314,7 +302,6 @@ class SprcController:
         self._prev_azimuth: float | None = None
         self._recent: list[tuple[float, np.ndarray]] = []  # (psi, y), last P
         self._sample = 0
-        self._control_active = False
         self._had_control_rotation = False
         self._pending_fault = False  # a sample of this rotation was refused
         self.telemetry: list[RotationTelemetry] = []

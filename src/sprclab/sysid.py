@@ -40,7 +40,6 @@ class DeltaBuffer:
         self.period = period
         self.past_window = past_window
         self.n_inputs = n_inputs
-        self.n_outputs = n_outputs
         width = n_inputs + n_outputs
         self._raw = np.zeros((period, width))
         self._deltas = np.zeros((2 * (past_window + 1), width))
@@ -96,21 +95,17 @@ class MarkovEstimate:
     """
 
     def __init__(self, n_inputs: int, n_outputs: int, past_window: int,
-                 forgetting: float = 0.99999, ridge: float = 1e-6,
-                 flush_every: int = 64):
+                 forgetting: float = 0.99999, flush_every: int = 64):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
-        self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.past_window = past_window
         self.forgetting = forgetting
         self.dim = (n_inputs + n_outputs) * past_window
-        self._rfac = np.sqrt(ridge) * np.eye(self.dim)
+        self._rfac = np.sqrt(1e-6) * np.eye(self.dim)  # ridge prior 1e-6 I
         self._rhs = np.zeros((self.dim, n_outputs))
         self._pending_z: list[np.ndarray] = []
         self._pending_t: list[np.ndarray] = []
         self._flush_every = flush_every
-        self.samples = 0
 
     def update(self, regressor: np.ndarray, target: np.ndarray) -> None:
         regressor = np.asarray(regressor, dtype=float)
@@ -121,7 +116,6 @@ class MarkovEstimate:
             raise NumericError("non-finite regressor or target")
         self._pending_z.append(regressor)
         self._pending_t.append(target)
-        self.samples += 1
         if len(self._pending_z) >= self._flush_every:
             self._flush()
 
@@ -153,33 +147,13 @@ class MarkovEstimate:
             raise NumericError("estimate became non-finite")
         return xi_t.T
 
-    def snapshot(self) -> dict:
-        """JSON-serializable estimator snapshot for debugging/goldens."""
-        return {
-            "markov": self.estimate.tolist(),
-            "forgetting": self.forgetting,
-            "samples": self.samples,
-            "past_window": self.past_window,
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-        }
-
-
-class BatchResult:
-    """Batch least-squares solution with rank metadata."""
-
-    def __init__(self, markov: np.ndarray, rank: int, dim: int):
-        self.markov = markov
-        self.rank = rank
-        self.rank_deficient = rank < dim
-
 
 def batch_solve(regressors: np.ndarray, targets: np.ndarray,
-                forgetting: float = 1.0) -> BatchResult:
+                forgetting: float = 1.0) -> np.ndarray:
     """Weighted least squares over the full history (oracle for the RLS).
 
-    Solved by orthogonal factorization (lstsq/SVD); rank deficiency yields
-    the minimum-norm solution, flagged in the result metadata.
+    Returns the Markov matrix, solved by orthogonal factorization
+    (lstsq/SVD); rank deficiency yields the minimum-norm solution.
     """
     Z = np.atleast_2d(np.asarray(regressors, dtype=float))
     T = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -189,8 +163,7 @@ def batch_solve(regressors: np.ndarray, targets: np.ndarray,
         raise ValueError("forgetting factor must be in (0, 1]")
     n = len(Z)
     weights = np.sqrt(forgetting ** np.arange(n - 1, -1, -1.0))[:, None]
-    solution, _, rank, _ = np.linalg.lstsq(weights * Z, weights * T, rcond=None)
-    return BatchResult(markov=solution.T, rank=int(rank), dim=Z.shape[1])
+    return np.linalg.lstsq(weights * Z, weights * T, rcond=None)[0].T
 
 
 def persistency_metric(u: np.ndarray, order: int,

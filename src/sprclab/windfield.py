@@ -40,9 +40,6 @@ class WindSeries:
 
     samples: np.ndarray  # m/s
     rate: float  # Hz
-    mean: float  # m/s, target mean
-    mode: GridMode | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -134,8 +131,7 @@ def gust_train(duration: float, rate: float, mean: float, amplitude: float,
         samples += amplitude * ricker(t - c, gust_width)
     if np.any(samples <= 0.0):
         raise ValueError("gust amplitude drives wind speed non-positive")
-    return WindSeries(samples=samples, rate=rate, mean=mean, mode=GridMode.GUSTS,
-                      seed=seed)
+    return WindSeries(samples=samples, rate=rate)
 
 
 def generate(mode: GridMode, mean: float, duration: float, rate: float,
@@ -154,7 +150,8 @@ def generate(mode: GridMode, mean: float, duration: float, rate: float,
         raise ValueError("mean wind speed must be positive")
 
     n = int(round(duration * rate))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _mode_tag(mode)]))
+    mode_tag = list(GridMode).index(mode)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, mode_tag]))
 
     if mode is GridMode.GUSTS:
         # Sparse large gusts carry most of the variance; a weak turbulent
@@ -177,11 +174,7 @@ def generate(mode: GridMode, mean: float, duration: float, rate: float,
     samples = _rescale(fluct, mean, mode.ti_percent)
     if np.any(samples <= 0.0):
         raise ValueError("generated wind series has non-positive samples")
-    return WindSeries(samples=samples, rate=rate, mean=mean, mode=mode, seed=seed)
-
-
-def _mode_tag(mode: GridMode) -> int:
-    return list(GridMode).index(mode)
+    return WindSeries(samples=samples, rate=rate)
 
 
 def turbulence_intensity(series: WindSeries | np.ndarray) -> float:

@@ -74,7 +74,7 @@ def test_criterion_02_rls_batch_equivalence():
     est = MarkovEstimate(r, l, p, forgetting=1.0)
     for zi, ti in zip(z, t):
         est.update(zi, ti)
-    batch = batch_solve(z, t, forgetting=1.0).markov
+    batch = batch_solve(z, t, forgetting=1.0)
     gap = np.linalg.norm(est.estimate - batch)
     bound = 1e-8 * (1.0 + np.linalg.norm(batch))
     assert gap <= bound, f"RLS/batch gap {gap:.2e} > {bound:.2e}"
@@ -236,7 +236,8 @@ def test_criterion_09_adaptivity():
         mode="gusts", duration=70.0, controller="sprc-1p2p",
         events=(ScenarioEvent(40.0, "collective_pitch", 10.0),))
     record = run_experiment(config)
-    t, norms = record.theta_times, record.delta_theta_norms
+    t = np.array([rot.time_s for rot in record.rotations])
+    norms = np.array([rot.delta_theta_norm for rot in record.rotations])
     window = (t >= 40.0) & (t <= 60.0)
     peak_i = int(np.argmax(norms[window]))
     peak, peak_t = norms[window][peak_i], t[window][peak_i]

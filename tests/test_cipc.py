@@ -52,7 +52,7 @@ class TestController:
         for k in range(100):
             u = ctrl.step(np.zeros(2), 0.1 * k, 24.0)
             np.testing.assert_array_equal(u, np.zeros(2))
-        np.testing.assert_array_equal(ctrl.state.integrator, np.zeros(2))
+        np.testing.assert_array_equal(ctrl.integrator, np.zeros(2))
 
     def test_constant_tilt_integrator_ramps_to_limit(self):
         # A persistent fixed-frame disturbance with no plant feedback makes

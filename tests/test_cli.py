@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from sprclab import windfield
 from sprclab.cli import main
+from sprclab.spectral import welch_psd
 
 
 def test_windgen_writes_series_and_stats(tmp_path, capsys):
@@ -68,6 +72,13 @@ MALFORMED = {
     "sprc.ident_duration_s": {"sprc": {"ident_duration_s": -5.0}},
     "sprc.excitation_amplitude_deg": {"sprc": {
         "excitation_amplitude_deg": -1.5}},
+    "plant.loads.wind_ref_mps": {"plant": {"loads": {"wind_ref_mps": 0.0}}},
+    "plant.loads.noise_std_nm": {"plant": {"loads": {"noise_std_nm": -0.1}}},
+    "plant.rotor.min_rpm": {"plant": {"rotor": {"min_rpm": 0.0,
+                                                "rpm_offset": -1000.0}}},
+    "cipc.pitch_limit_deg": {"cipc": {"pitch_limit_deg": -1.0}},
+    # A second plant.ts case; the text after the space only labels it.
+    "plant.ts below 200 Hz": {"plant": {"ts": 0.01}},
 }
 
 
@@ -77,7 +88,7 @@ def test_malformed_config_names_path(tmp_path, capsys, path):
     bad.write_text(json.dumps(MALFORMED[path]))
     rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
     assert rc == 1
-    assert f"{path}:" in capsys.readouterr().err
+    assert f"{path.split()[0]}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("mode", "lidar"),
@@ -127,6 +138,37 @@ def test_psd_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "frequency_hz,power"
     assert len(out) > 100
+
+
+def test_psd_output_matches_csv_writer_reference(tmp_path, capsys):
+    t = np.arange(3000) / 200.0
+    y = np.sin(2 * np.pi * 3.0 * t) + 0.1 * np.cos(2 * np.pi * 41.0 * t)
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("time,y1\n" + "".join(
+        f"{ti},{yi}\n" for ti, yi in zip(t, y)))
+    rc = main(["psd", str(csv_path), "--rate", "200", "--segment", "512"])
+    assert rc == 0
+    freqs, power = welch_psd(y, 200.0, segment_length=512)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["frequency_hz", "power"])
+    for f, p in zip(freqs, power):
+        writer.writerow([f"{f:.6g}", f"{p:.6g}"])
+    assert capsys.readouterr().out == want.getvalue()
+
+
+def test_windgen_csv_matches_csv_writer_reference(tmp_path, capsys):
+    rc = main(["windgen", "--mode", "gusts", "--duration", "20", "--seed",
+               "3", "--output", str(tmp_path)])
+    assert rc == 0
+    series = windfield.generate(windfield.GridMode.GUSTS, 5.0, 20.0, 200.0, 3)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["time", "speed"])
+    for t, v in zip(series.time(), series.samples):
+        writer.writerow([f"{t:.6f}", f"{v:.9g}"])
+    got = (tmp_path / "wind_gusts_5_3.csv").read_bytes()
+    assert got == want.getvalue().encode()
 
 
 def test_psd_missing_column_is_config_error(tmp_path, capsys):

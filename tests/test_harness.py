@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, metrics and persistence."""
 
 import copy
+import csv
 import json
 from dataclasses import replace
 
@@ -60,10 +61,10 @@ class TestConfig:
         assert ExperimentConfig.from_json(str(path)) == config
 
     def test_json_integers_accepted_as_floats(self):
-        config = ExperimentConfig.from_dict({"duration": 60,
-                                             "plant": {"ts": 1}})
+        config = ExperimentConfig.from_dict({
+            "duration": 60, "plant": {"wind_lowpass_tau_s": 8}})
         assert type(config.duration) is float and config.duration == 60.0
-        assert type(config.plant.ts) is float
+        assert type(config.plant.wind_lowpass_tau_s) is float
         with pytest.raises(ValueError, match="seeds.wind"):
             ExperimentConfig.from_dict({"seeds": {"wind": 1.0}})
 
@@ -183,6 +184,23 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == int(12.0 * 200) + 1
         assert lines[0] == "time,u1,u2,y1,y2,psi,omega,wind"
+
+    def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
+        record = run_experiment(_fast_config(controller="cipc",
+                                             mode="lidar"))
+        path = tmp_path / "run.csv"
+        harness.export_csv(record, str(path))
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "u1", "u2", "y1", "y2", "psi", "omega",
+                             "wind"])
+            for k in range(len(record.time)):
+                writer.writerow([f"{record.time[k]:.6f}"] + [
+                    f"{v:.9g}" for v in (*record.pitch[k], *record.loads[k],
+                                         record.azimuth[k], record.omega[k],
+                                         record.wind[k])])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         record = run_experiment(_fast_config())

@@ -50,13 +50,10 @@ def _reference_turbine_step(state, params, pitch_cmd, wind_sample, rng=None):
     omega_ss *= RPM_TO_RADS
     omega = state.omega + ts / params.rotor.tau_s * (omega_ss - state.omega)
     azimuth = state.azimuth + omega * ts
-    rotation_count = state.rotation_count
     if azimuth >= 2.0 * np.pi:
         azimuth -= 2.0 * np.pi
-        rotation_count += 1
     return loads, replace(state, azimuth=azimuth, omega=omega,
-                          servo_pitch=servo, rotation_count=rotation_count,
-                          wind_lp=wind_lp)
+                          servo_pitch=servo, wind_lp=wind_lp)
 
 
 def _scalar_model(a=0.5, b=1.0, c=1.0, k=0.0):
@@ -164,15 +161,6 @@ class TestTurbineSurrogate:
         rpm = state.omega / RPM_TO_RADS
         assert abs(rpm - 230.0) < 2.0
 
-    def test_rotation_count_tracks_integrated_azimuth(self):
-        params = TurbineParams(loads=LoadModel(noise_std_nm=0.0))
-        state = TurbineState.initial(params, 5.0)
-        total = 0.0
-        for _ in range(3000):
-            total += state.omega * params.ts
-            _, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
-        assert state.rotation_count == int(total // (2.0 * np.pi))
-
     def test_servo_attenuates_sinusoids(self):
         # First-order lag: commanded sinusoids below the bandwidth come out
         # with amplitude no larger than commanded.
@@ -203,7 +191,6 @@ class TestTurbineSurrogate:
                        else pick.uniform(0.0, 2.0 * np.pi))
             state = TurbineState(azimuth=azimuth, omega=omega,
                                  servo_pitch=pick.uniform(-5.0, 15.0, 2),
-                                 rotation_count=int(pick.integers(0, 1000)),
                                  collective_pitch=pick.uniform(0.5, 10.0),
                                  wind_lp=pick.uniform(3.0, 8.0))
             cmd = pick.uniform(-5.0, 15.0, 2)
@@ -215,10 +202,9 @@ class TestTurbineSurrogate:
                                                        wind, noise[1])
             np.testing.assert_array_equal(loads, want_loads)
             np.testing.assert_array_equal(new.servo_pitch, want.servo_pitch)
-            for name in ("azimuth", "omega", "rotation_count",
-                         "collective_pitch", "wind_lp"):
+            for name in ("azimuth", "omega", "collective_pitch", "wind_lp"):
                 assert getattr(new, name) == getattr(want, name), name
-            wraps += new.rotation_count != state.rotation_count
+            wraps += new.azimuth < state.azimuth
         assert wraps >= 100
 
     def test_wrong_pitch_shape_rejected(self):

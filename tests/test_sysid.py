@@ -1,16 +1,14 @@
 """Tests for delta buffering and recursive Markov identification."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sprclab.plant import make_benchmark_plant, simulate_lti
-from sprclab.sysid import (BatchResult, DeltaBuffer, MarkovEstimate,
-                           NotReadyError, NumericError, batch_solve,
-                           choose_past_window, persistency_metric)
+from sprclab.sysid import (DeltaBuffer, MarkovEstimate, NotReadyError,
+                           NumericError, batch_solve, choose_past_window,
+                           persistency_metric)
 
 
 class TestDeltaBuffer:
@@ -112,7 +110,7 @@ class TestMarkovEstimate:
         est = MarkovEstimate(r, l, p, forgetting=1.0)
         for zi, ti in zip(z, t):
             est.update(zi, ti)
-        batch = batch_solve(z, t, forgetting=1.0).markov
+        batch = batch_solve(z, t, forgetting=1.0)
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
@@ -131,7 +129,7 @@ class TestMarkovEstimate:
         est = MarkovEstimate(r, l, p, forgetting=1.0, flush_every=64)
         for zi, ti in zip(z, t):
             est.update(zi, ti)
-        batch = batch_solve(z, t, forgetting=1.0).markov
+        batch = batch_solve(z, t, forgetting=1.0)
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
@@ -176,27 +174,16 @@ class TestMarkovEstimate:
         err = np.linalg.norm(est.estimate - xi_new) / np.linalg.norm(xi_new)
         assert err < 1e-3
 
-    def test_snapshot_json(self):
-        est = MarkovEstimate(1, 1, 2, forgetting=0.999)
-        _, z, t = _random_rows(4, 1, 50, seed=3)
-        for zi, ti in zip(z, t):
-            est.update(zi, ti)
-        snap = json.loads(json.dumps(est.snapshot()))
-        assert snap["samples"] == 50
-        assert snap["forgetting"] == 0.999
-        np.testing.assert_allclose(np.array(snap["markov"]), est.estimate)
-
 
 class TestBatchSolve:
     def test_minimum_norm_single_sample(self):
-        result = batch_solve(np.array([[1.0, 0.0]]), np.array([[2.0]]))
-        np.testing.assert_allclose(result.markov, [[2.0, 0.0]], atol=1e-12)
-        assert result.rank_deficient
+        markov = batch_solve(np.array([[1.0, 0.0]]), np.array([[2.0]]))
+        np.testing.assert_allclose(markov, [[2.0, 0.0]], atol=1e-12)
 
     def test_unit_forgetting_is_plain_least_squares(self):
         _, z, t = _random_rows(6, 2, 80, seed=4)
         direct = np.linalg.lstsq(z, t, rcond=None)[0].T
-        np.testing.assert_allclose(batch_solve(z, t, 1.0).markov, direct,
+        np.testing.assert_allclose(batch_solve(z, t, 1.0), direct,
                                    atol=1e-10)
 
     def test_length_mismatch_rejected(self):

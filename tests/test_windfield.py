@@ -13,7 +13,7 @@ RATE = 200.0
 
 class TestTurbulenceIntensity:
     def test_constant_series_is_zero(self):
-        series = WindSeries(samples=np.full(100, 5.0), rate=RATE, mean=5.0)
+        series = WindSeries(samples=np.full(100, 5.0), rate=RATE)
         assert turbulence_intensity(series) == 0.0
 
     def test_two_point_series(self):
@@ -140,7 +140,7 @@ class TestGridMode:
 class TestWindSeries:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
-            WindSeries(samples=np.array([]), rate=RATE, mean=5.0)
+            WindSeries(samples=np.array([]), rate=RATE)
 
     def test_duration_and_time(self):
         series = windfield.generate(GridMode.STATIC0, 5.0, 10.0, RATE, 0)
