@@ -17,7 +17,7 @@ from . import windfield
 from .cipc import CipcConfig, CipcController
 from .codec import decode, encode
 from .plant import (N_BLADES, RPM_TO_RADS, TurbineParams, TurbineState,
-                    turbine_step)
+                    float_rows, open_loop)
 from .spectral import band_power, loglog_slope, welch_psd
 from .sprc import RotationTelemetry, SprcConfig, SprcController
 
@@ -120,21 +120,28 @@ class ExperimentRecord:
         return slice(int(self.config.eval_start_s * self.rate), None)
 
 
-def _wind_samples(config: ExperimentConfig, n: int) -> np.ndarray:
-    """Seeded wind series, splicing in any wind-mean set-point events."""
+def _setpoints(config: ExperimentConfig,
+               time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample wind and collective pitch, with the scenario events.
+
+    An event of either kind takes effect at the first sample k with
+    time[k] >= time_s. Events apply in time order, and in listed order
+    among equal times, so the later one wins.
+    """
     mode = windfield.GridMode.from_label(config.mode)
     rate = 1.0 / config.plant.ts
-    base = windfield.generate(mode, config.mean_wind, config.duration, rate,
-                              config.seeds.wind).samples[:n]
-    samples = base.copy()
-    for event in config.events:
-        if event.kind != "wind_mean":
-            continue
-        alt = windfield.generate(mode, event.value, config.duration, rate,
-                                 config.seeds.wind).samples[:n]
-        k = int(event.time_s * rate)
-        samples[k:] = alt[k:]
-    return samples
+    n = len(time)
+    wind = windfield.generate(mode, config.mean_wind, config.duration, rate,
+                              config.seeds.wind).samples[:n].copy()
+    collective = np.full(n, config.collective_pitch_deg)
+    for event in sorted(config.events, key=lambda e: e.time_s):
+        k = int(np.searchsorted(time, event.time_s))
+        if event.kind == "collective_pitch":
+            collective[k:] = event.value
+        else:
+            wind[k:] = windfield.generate(mode, event.value, config.duration,
+                                          rate, config.seeds.wind).samples[k:n]
+    return wind, collective
 
 
 class NullController:
@@ -160,47 +167,50 @@ def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
-    """Run one deterministic experiment and compute its metrics."""
+    """Run one deterministic experiment and compute its metrics.
+
+    Everything the pitch command does not reach is computed before the
+    loop (`plant.open_loop`); the loop closes it through the controller and
+    the servo lag, in the summation order of `plant.turbine_step`.
+    """
     config.validate()
     params = config.plant
     ts = params.ts
     n = int(round(config.duration / ts))
-    wind = _wind_samples(config, n)
-    rng = np.random.default_rng(config.seeds.noise)
+    time = np.arange(n) * ts
+    wind, collective = _setpoints(config, time)
 
     state = TurbineState.initial(params, config.mean_wind,
                                  config.collective_pitch_deg)
     nominal_rotation = 2.0 * np.pi / state.omega / ts  # samples per rev
     controller = _make_controller(config, nominal_rotation)
+    rotor = open_loop(params, state, wind, collective,
+                      np.random.default_rng(config.seeds.noise))
 
-    events = sorted(config.events, key=lambda e: e.time_s)
-    next_event = 0
-
-    time = np.arange(n) * ts
+    a = params.servo_pole
+    gain = params.loads.pitch_gain_nm_per_deg
+    servo1, servo2 = state.servo_pitch.tolist()
     pitch = np.zeros((n, N_BLADES))
     loads = np.zeros((n, N_BLADES))
-    azimuth = np.zeros(n)
-    omega = np.zeros(n)
-    prev_loads = np.zeros(N_BLADES)
-
-    for k in range(n):
-        while next_event < len(events) and time[k] >= events[next_event].time_s:
-            event = events[next_event]
-            if event.kind == "collective_pitch":
-                state = replace(state, collective_pitch=event.value)
-            next_event += 1
-
-        u = controller.step(prev_loads, state.azimuth, state.omega)
-        azimuth[k] = state.azimuth
-        omega[k] = state.omega
+    y = np.zeros(N_BLADES)  # the controller sees the previous sample's loads
+    # One plain float per blade: numpy's per-call cost on two-element
+    # arrays would be most of the loop's time.
+    for k, (psi, omega, coll, (p1, p2), (w1, w2), (e1, e2)) in enumerate(
+            float_rows(rotor.azimuth, rotor.omega, collective, rotor.periodic,
+                       rotor.wind_term, rotor.noise)):
+        u = controller.step(y, psi, omega)
+        u1, u2 = u.tolist()
+        servo1 = a * servo1 + (1.0 - a) * (coll + u1)
+        servo2 = a * servo2 + (1.0 - a) * (coll + u2)
+        y = np.array((p1 + gain * (servo1 - coll) + w1 + e1,
+                      p2 + gain * (servo2 - coll) + w2 + e2))
         pitch[k] = u
-        cmd = state.collective_pitch + u
-        prev_loads, state = turbine_step(state, params, cmd, wind[k], rng)
-        loads[k] = prev_loads
+        loads[k] = y
 
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
-                              loads=loads, azimuth=azimuth, omega=omega,
-                              wind=wind, rotations=controller.telemetry)
+                              loads=loads, azimuth=rotor.azimuth,
+                              omega=rotor.omega, wind=wind,
+                              rotations=controller.telemetry)
     record.metrics = _basic_metrics(record)
     return record
 

@@ -3,12 +3,15 @@
 Two halves live here: a discrete innovation-form LTI model used as ground
 truth for identification tests, and a physics-lite two-bladed turbine with
 azimuth-periodic root-bending loads, a 15 Hz first-order pitch servo, and
-a first-order rotor-speed response.
+a first-order rotor-speed response. `turbine_step` advances the turbine
+one sample; `open_loop` computes ahead of a run everything of it that the
+pitch command does not reach, leaving only the servo lag to the loop.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -176,15 +179,17 @@ class LoadModel:
         if self.wind_ref_mps <= 0.0:
             raise ValueError("wind_ref_mps: must be positive")
 
-    def periodic_load(self, blade_azimuth: float, collective_deg: float,
-                      amp_scale: float) -> float:
-        """Azimuth-periodic component for one blade at its own azimuth."""
+    def periodic_load(self, blade_azimuth, collective_deg, amp_scale):
+        """Azimuth-periodic component for one blade at its own azimuth.
+
+        Takes scalars or equal-shaped arrays (one entry per sample).
+        """
         shift = self.phase_per_collective_rad_per_deg * collective_deg
         return (self.mean_nm
                 + amp_scale * self.amp_1p_nm
-                * math.cos(blade_azimuth + self.phase_1p_rad + shift)
+                * np.cos(blade_azimuth + self.phase_1p_rad + shift)
                 + amp_scale * self.amp_2p_nm
-                * math.cos(2.0 * blade_azimuth + self.phase_2p_rad + shift))
+                * np.cos(2.0 * blade_azimuth + self.phase_2p_rad + shift))
 
 
 @dataclass(frozen=True)
@@ -309,3 +314,83 @@ def turbine_step(state: TurbineState, params: TurbineParams,
 
     return loads, TurbineState(azimuth, omega, servo, state.collective_pitch,
                                wind_lp)
+
+
+def float_rows(*columns: np.ndarray):
+    """Rows of equal-length arrays as Python floats, 1024 at a time.
+
+    Per-sample loops read plain floats far faster than numpy scalars; a
+    chunk at a time keeps a whole run's rows from existing as Python
+    objects at once, which would take megabytes.
+    """
+    for start in range(0, len(columns[0]), 1024):
+        yield from zip(*(c[start:start + 1024].tolist() for c in columns))
+
+
+@dataclass(frozen=True)
+class OpenLoop:
+    """The parts of a run the pitch command does not reach, per sample.
+
+    Row k holds the rotor state before sample k and the terms of the
+    sample-k blade loads that do not depend on the servo pitch. Closing the
+    loop adds the servo term between `periodic` and `wind_term`, in the
+    summation order of `turbine_step`.
+    """
+
+    azimuth: np.ndarray  # rad, N
+    omega: np.ndarray  # rad/s, N
+    periodic: np.ndarray  # N x 2 (N m)
+    wind_term: np.ndarray  # N x 2 (N m)
+    noise: np.ndarray  # N x 2 (N m)
+
+
+def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
+              collective: np.ndarray, rng: np.random.Generator) -> OpenLoop:
+    """What `turbine_step` computes from the wind and collective alone.
+
+    The wind low-pass, rotor speed and azimuth are sequential, so they run
+    as one scalar recursion on Python floats; the amplitude scale is
+    squared there too, because `**` on a float calls libm `pow` as
+    `turbine_step` does, while numpy's array `** 2` multiplies and can
+    differ in the last bit. The loads are then formed on whole arrays, and
+    the noise is one draw of all samples, which yields the same numbers as
+    one draw per sample.
+    """
+    ts = params.ts
+    lm, rotor = params.loads, params.rotor
+    b = ts / params.wind_lowpass_tau_s
+    relax = ts / rotor.tau_s
+    azimuth, omega, wind_lp = initial.azimuth, initial.omega, initial.wind_lp
+    # array("d") keeps 8 bytes a sample, where a list keeps a float object.
+    azimuths, omegas, lowpassed, amp_scale = (array("d") for _ in range(4))
+    for wind_sample, coll in float_rows(wind, collective):
+        azimuths.append(azimuth)
+        omegas.append(omega)
+        wind_lp = wind_lp + b * (wind_sample - wind_lp)
+        lowpassed.append(wind_lp)
+        amp_scale.append((wind_lp / lm.wind_ref_mps) ** 2)
+        omega_ss = rotor.steady_rpm(wind_sample, coll) * RPM_TO_RADS
+        omega = omega + relax * (omega_ss - omega)
+        azimuth = azimuth + omega * ts
+        if azimuth >= 2.0 * np.pi:
+            azimuth -= 2.0 * np.pi
+
+    azimuths = np.array(azimuths)
+    # Blade 2 sits half a turn ahead; it is heavier and phase-shifted.
+    blades = azimuths[:, None] + np.array([0.0, np.pi])
+    amp = np.array(amp_scale)
+    periodic = np.column_stack((
+        lm.periodic_load(blades[:, 0], collective, amp),
+        lm.mean_nm + lm.blade2_amp_ratio
+        * (lm.periodic_load(blades[:, 1] + lm.blade2_phase_shift_rad,
+                            collective, amp) - lm.mean_nm)))
+    fluctuation = wind - np.array(lowpassed)
+    wind_term = (lm.wind_gain_nm_per_mps
+                 * (1.0 + lm.wind_1p_modulation * np.cos(blades))
+                 * fluctuation[:, None])
+    if lm.noise_std_nm > 0.0:
+        noise = lm.noise_std_nm * rng.standard_normal((len(wind), N_BLADES))
+    else:
+        noise = np.zeros((len(wind), N_BLADES))
+    return OpenLoop(azimuth=azimuths, omega=np.array(omegas),
+                    periodic=periodic, wind_term=wind_term, noise=noise)

@@ -265,10 +265,13 @@ class RotationTelemetry:
 class SprcController:
     """Azimuth-indexed SPRC: per-sample output, per-rotation synthesis.
 
-    The first `ident_duration_s` of a run excite the basis amplitudes with
-    seeded random phases while feedback is off; afterwards each azimuth
-    wrap triggers predictor assembly, projection, DARE iteration and the
-    theta update, and the new sequence is swapped in for the next rotation.
+    A sample only emits the pitch command and is recorded. Each azimuth
+    wrap folds the completed rotation into the Markov estimate in one QR
+    update and fits its load harmonics. The first `ident_duration_s` of a
+    run excite the basis amplitudes with seeded random phases while
+    feedback is off; afterwards each wrap also triggers predictor
+    assembly, projection, DARE iteration and the theta update, and the new
+    sequence is swapped in for the next rotation.
     The run supplies the basis harmonics, the sample time and the
     excitation seed; `config` holds only the tuning.
     """
@@ -288,7 +291,7 @@ class SprcController:
         r = N_BLADES
         self.basis = build_basis(self.period, r, harmonics)
         nb = self.basis.n_params
-        self.buffer = DeltaBuffer(self.period, config.past_window, r, r)
+        self.deltas = DeltaBuffer(self.period, config.past_window, r, r)
         self.markov = MarkovEstimate(r, r, config.past_window,
                                      forgetting=config.forgetting)
         self.theta = np.zeros(nb)
@@ -300,10 +303,10 @@ class SprcController:
         self._r = np.eye(nb) * config.r_weight
         self._rng = np.random.default_rng(excitation_seed)
         self._prev_azimuth: float | None = None
-        self._recent: list[tuple[float, np.ndarray]] = []  # (psi, y), last P
+        # (psi, u, y) of every sample since the last boundary.
+        self._rotation: list[tuple[float, np.ndarray, np.ndarray]] = []
         self._sample = 0
         self._had_control_rotation = False
-        self._pending_fault = False  # a sample of this rotation was refused
         self.telemetry: list[RotationTelemetry] = []
         self._draw_excitation()
 
@@ -328,9 +331,10 @@ class SprcController:
              omega: float) -> np.ndarray:
         """Process one sample; returns the per-blade pitch command (deg).
 
-        Commands are indexed by azimuth alone, so `omega` is not read.
+        Commands are indexed by azimuth alone, so `omega` is not read. The
+        sample is only recorded here; the rotation boundary identifies from
+        the whole rotation at once.
         """
-        y = np.asarray(loads, dtype=float)
         wrapped = (self._prev_azimuth is not None
                    and azimuth < self._prev_azimuth)
         if wrapped:
@@ -338,22 +342,19 @@ class SprcController:
         self._prev_azimuth = azimuth
 
         u = control_sample(self.theta, azimuth, N_BLADES, self.harmonics)
-        self.buffer.push(u, y)
-        if self.buffer.ready:
-            try:
-                self.markov.update(self.buffer.regressor(),
-                                   self.buffer.delta_y())
-            except NumericError:
-                self._pending_fault = True
-        self._recent.append((azimuth, y))
+        self._rotation.append((azimuth, u, np.array(loads, dtype=float)))
         self._sample += 1
         return u
 
     def _on_rotation_boundary(self) -> None:
+        psi, u, y = (np.array(column) for column in zip(*self._rotation))
+        self._rotation.clear()
+        # One QR fold of the rotation's rows; a refused (non-finite) row
+        # flags this record.
+        refused = self.markov.fold(*self.deltas.extend(u, y))
         tel = RotationTelemetry(time_s=self._sample * self.ts,
-                                fault=self._pending_fault)
-        self._pending_fault = False
-        ybar = self._estimate_ybar()
+                                fault=refused > 0)
+        ybar = self._estimate_ybar(psi, y)
         if ybar is not None:
             self.delta_ybar = ybar - self.ybar
             self.ybar = ybar
@@ -372,7 +373,8 @@ class SprcController:
         tel.delta_theta_norm = float(np.linalg.norm(self.delta_theta))
         self.telemetry.append(tel)
 
-    def _estimate_ybar(self) -> np.ndarray | None:
+    def _estimate_ybar(self, angles: np.ndarray,
+                       loads: np.ndarray) -> np.ndarray | None:
         """Project the completed rotation onto the azimuth-aligned basis.
 
         Rows are evaluated at the recorded azimuths (tolerating rotor speed
@@ -380,15 +382,12 @@ class SprcController:
         cannot leak into the harmonic coefficients; only the harmonic part
         is returned.
         """
-        if len(self._recent) < max(8, self.basis.n_params):
-            self._recent.clear()
+        if len(angles) < max(8, self.basis.n_params):
             return None
-        angles = np.array([a for a, _ in self._recent])
-        stacked = np.concatenate([y for _, y in self._recent])
-        self._recent.clear()
         rows = basis_rows(angles, N_BLADES, self.harmonics)
         dc = np.kron(np.ones((len(angles), 1)), np.eye(N_BLADES))
-        coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), stacked, rcond=None)
+        coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), loads.ravel(),
+                                     rcond=None)
         return coeffs[:self.basis.n_params]
 
     def _synthesize(self, tel: RotationTelemetry) -> None:

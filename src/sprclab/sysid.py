@@ -3,13 +3,14 @@
 The period-P difference operator annihilates the periodic disturbance, so
 the remaining input/output behavior is captured by the Markov parameter
 matrix [C At^{p-1}B ... CB | C At^{p-1}K ... CK]. The recursive solver
-keeps a square-root (QR) information factor; a batch least-squares solver
-serves as its oracle.
+keeps a square-root (QR) information factor and folds a block of rows into
+it per QR update; a batch least-squares solver serves as its oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import qr, solve_triangular
 
 
@@ -22,15 +23,17 @@ class NumericError(ArithmeticError):
 
 
 class DeltaBuffer:
-    """Period differences of u and y over the last p + 1 samples.
+    """Period differences of u and y, formed a block of samples at a time.
 
-    `push` forms the delta row [du_k, dy_k] = [u_k - u_{k-P}, y_k - y_{k-P}]
-    once and writes it twice into a doubled ring of 2 (p + 1) rows, so the
-    last p + 1 delta rows always lie contiguously; the raw u/y ring keeps
-    only the last P samples the differencing reads. After pushing sample k,
-    `delta_y()` returns dy_k and `regressor()` returns the stacked window
-    [du_{k-p}; ...; du_{k-1}; dy_{k-p}; ...; dy_{k-1}] whose inner product
-    with the Markov matrix predicts dy_k.
+    With du_k = u_k - u_{k-P} and dy_k = y_k - y_{k-P}, `extend` takes the
+    next samples and returns, for each one with k >= P + p, the stacked
+    window [du_{k-p}; ...; du_{k-1}; dy_{k-p}; ...; dy_{k-1}] whose inner
+    product with the Markov matrix predicts dy_k, and the target dy_k. The
+    buffer keeps only the last P + p raw samples, which the next block's
+    deltas and windows reach back to; before the first P + p samples they
+    are zero, and no returned row reads them. `push` is the one-sample
+    case. `regressor()` and `delta_y()` return the row of the most recent
+    sample.
     """
 
     def __init__(self, period: int, past_window: int, n_inputs: int,
@@ -40,43 +43,48 @@ class DeltaBuffer:
         self.period = period
         self.past_window = past_window
         self.n_inputs = n_inputs
-        width = n_inputs + n_outputs
-        self._raw = np.zeros((period, width))
-        self._deltas = np.zeros((2 * (past_window + 1), width))
+        self._raw = np.zeros((period + past_window, n_inputs + n_outputs))
         self._count = 0
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def ready(self) -> bool:
         """True once the current sample index k satisfies k >= P + p."""
         return self._count >= self.period + self.past_window + 1
 
-    def push(self, u: np.ndarray, y: np.ndarray) -> None:
-        k = self._count
-        row = np.concatenate((u, y))
-        oldest = k % self.period  # holds sample k - P
-        delta = row - self._raw[oldest]
-        self._raw[oldest] = row
-        slot = k % (self.past_window + 1)
-        self._deltas[slot] = delta
-        self._deltas[slot + self.past_window + 1] = delta
-        self._count += 1
+    def extend(self, u: np.ndarray, y: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Append m samples (m x r inputs, m x l outputs).
 
-    def _window(self) -> np.ndarray:
-        """Delta rows k-p, ..., k for the most recent sample k."""
-        self._require_ready()
-        slot = (self._count - 1) % (self.past_window + 1)
-        return self._deltas[slot + 1:slot + self.past_window + 2]
+        Returns the regressor rows and the targets of the appended samples
+        that are ready, oldest first.
+        """
+        P, p, r = self.period, self.past_window, self.n_inputs
+        raw = np.vstack((self._raw, np.hstack((u, y))))
+        m = len(raw) - len(self._raw)
+        deltas = raw[P:] - raw[:-P]  # samples count - p, ..., count + m - 1
+        windows = sliding_window_view(deltas, (p + 1, deltas.shape[1]))[:, 0]
+        past = windows[:, :p]
+        regressors = np.concatenate((past[..., :r].reshape(m, -1),
+                                     past[..., r:].reshape(m, -1)), axis=1)
+        first = max(0, P + p - self._count)
+        self._raw = raw[m:]
+        self._count += m
+        self._last = (regressors[first:], windows[first:, p, r:])
+        return self._last
+
+    def push(self, u: np.ndarray, y: np.ndarray) -> None:
+        self.extend(np.atleast_2d(u), np.atleast_2d(y))
 
     def delta_y(self) -> np.ndarray:
         """dy_k = y_k - y_{k-P} for the most recent sample k."""
-        # A copy: callers keep the target while later pushes reuse the row.
-        return self._window()[-1, self.n_inputs:].copy()
+        self._require_ready()
+        return self._last[1][-1]
 
     def regressor(self) -> np.ndarray:
         """Stacked delta window aligned to predict dy_k."""
-        past = self._window()[:-1]
-        r = self.n_inputs
-        return np.concatenate((past[:, :r], past[:, r:]), axis=None)
+        self._require_ready()
+        return self._last[0][-1]
 
     def _require_ready(self) -> None:
         if not self.ready:
@@ -90,8 +98,9 @@ class MarkovEstimate:
 
     The information state is an upper-triangular factor R and right-hand
     side maintained by orthogonal (QR) updates; no covariance inverse is
-    ever formed. Incoming rows are buffered and folded in blockwise, which
-    is algebraically identical to one-row-at-a-time updates.
+    ever formed. `fold` takes a block of rows in one QR update, which is
+    algebraically identical to one-row-at-a-time updates; `update` queues
+    single rows and folds every `flush_every` of them as one block.
     """
 
     def __init__(self, n_inputs: int, n_outputs: int, past_window: int,
@@ -119,24 +128,43 @@ class MarkovEstimate:
         if len(self._pending_z) >= self._flush_every:
             self._flush()
 
+    def fold(self, regressors: np.ndarray, targets: np.ndarray) -> int:
+        """Fold a block of rows in, oldest first; returns how many it refused.
+
+        A row with a non-finite entry is dropped, as `update` refuses it.
+        """
+        regressors = np.asarray(regressors, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        if (regressors.shape[1:] != (self.dim,)
+                or targets.shape != (len(regressors), self.n_outputs)):
+            raise ValueError("regressor/target dimensions do not match")
+        keep = (np.isfinite(regressors).all(axis=1)
+                & np.isfinite(targets).all(axis=1))
+        self._flush()
+        self._qr_update(regressors[keep], targets[keep])
+        return len(keep) - int(np.count_nonzero(keep))
+
     def _flush(self) -> None:
-        if not self._pending_z:
+        if self._pending_z:
+            self._qr_update(np.array(self._pending_z),
+                            np.array(self._pending_t))
+            self._pending_z.clear()
+            self._pending_t.clear()
+
+    def _qr_update(self, regressors: np.ndarray, targets: np.ndarray) -> None:
+        m = len(regressors)
+        if m == 0:
             return
-        m = len(self._pending_z)
         lam = self.forgetting
-        # Row i of the pending block has age m-1-i; prior data ages by m.
+        # Row i of the block has age m-1-i; prior data ages by m.
         weights = np.sqrt(lam ** np.arange(m - 1, -1, -1.0))[:, None]
-        rows = np.vstack([lam ** (m / 2.0) * self._rfac,
-                          weights * np.asarray(self._pending_z)])
-        rhs = np.vstack([lam ** (m / 2.0) * self._rhs,
-                         weights * np.asarray(self._pending_t)])
-        compound = np.hstack([rows, rhs])
-        # scipy's QR keeps the flush on the OpenBLAS pool of the solves.
+        compound = np.block([[lam ** (m / 2.0) * self._rfac,
+                              lam ** (m / 2.0) * self._rhs],
+                             [weights * regressors, weights * targets]])
+        # scipy's QR keeps the fold on the OpenBLAS pool of the solves.
         fac = qr(compound, mode="r")[0]
         self._rfac = fac[:self.dim, :self.dim]
         self._rhs = fac[:self.dim, self.dim:]
-        self._pending_z.clear()
-        self._pending_t.clear()
 
     @property
     def estimate(self) -> np.ndarray:

@@ -112,6 +112,25 @@ class TestRunExperiment:
                                                                       abs=0.1)
 
 
+    @pytest.mark.parametrize("time_s", [0.145, 1.005])
+    def test_wind_and_collective_events_land_on_one_sample(self, time_s):
+        # Both kinds take effect at the first sample whose time reaches the
+        # event; at these times int(time_s * rate) is one sample earlier.
+        config = _fast_config(events=(
+            ScenarioEvent(time_s, "wind_mean", 6.0),
+            ScenarioEvent(time_s, "collective_pitch", 7.0)))
+        time = run_experiment(_fast_config()).time
+        first = next(k for k, t in enumerate(time) if t >= time_s)
+        assert first == int(time_s * 200) + 1
+        wind, collective = harness._setpoints(config, time)
+        steady, _ = harness._setpoints(_fast_config(), time)
+        np.testing.assert_array_equal(wind[:first], steady[:first])
+        assert wind[first] != steady[first]
+        np.testing.assert_array_equal(collective[:first], 2.0)
+        np.testing.assert_array_equal(collective[first:], 7.0)
+        np.testing.assert_array_equal(run_experiment(config).wind, wind)
+
+
 class TestVarianceReduction:
     def test_identical_runs_give_zero(self):
         record = run_experiment(_fast_config())

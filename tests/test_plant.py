@@ -5,6 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sprclab import windfield
+from sprclab.cipc import CipcController
+from sprclab.harness import (ExperimentConfig, ScenarioEvent, Seeds,
+                             run_experiment)
 from sprclab.plant import (LoadModel, RotorModel, RPM_TO_RADS, StateSpaceModel,
                            TurbineParams, TurbineState, make_benchmark_plant,
                            simulate_lti, spectral_radius, turbine_step)
@@ -231,6 +235,52 @@ class TestTurbineSurrogate:
                 series.append(loads)
             out.append(np.array(series))
         np.testing.assert_array_equal(out[0], out[1])
+
+
+class TestOpenLoop:
+    def test_cipc_run_matches_reference_loop_bitwise(self):
+        # Oracle: the whole closed loop stepped through the per-blade
+        # reference, with seeded noise, a collective event and a wind
+        # event. Both events take effect at the first sample whose time
+        # reaches them; int(t_wind * rate) is one sample earlier.
+        t_wind, t_pitch = 8.03, 12.0
+        config = ExperimentConfig(
+            mode="gusts", controller="cipc", duration=20.0, eval_start_s=5.0,
+            seeds=Seeds(wind=3, noise=4, excitation=5),
+            events=(ScenarioEvent(t_wind, "wind_mean", 5.5),
+                    ScenarioEvent(t_pitch, "collective_pitch", 6.0)))
+        record = run_experiment(config)
+
+        params = config.plant
+        rate = 1.0 / params.ts
+        n = int(round(config.duration * rate))
+        time = np.arange(n) * params.ts
+        mode = windfield.GridMode.from_label(config.mode)
+        wind = [windfield.generate(mode, mean, config.duration, rate,
+                                   seed=3).samples[:n] for mean in (5.0, 5.5)]
+        wind = np.where(time >= t_wind, wind[1], wind[0])
+        state = TurbineState.initial(params, config.mean_wind,
+                                     config.collective_pitch_deg)
+        ctrl = CipcController(config.cipc, ts=params.ts)
+        rng = np.random.default_rng(4)
+        want = {name: np.zeros((n, 2)) for name in ("pitch", "loads")}
+        want.update(azimuth=np.zeros(n), omega=np.zeros(n))
+        loads = np.zeros(2)
+        for k in range(n):
+            if time[k] >= t_pitch:
+                state = replace(state, collective_pitch=6.0)
+            u = ctrl.step(loads, state.azimuth, state.omega)
+            want["azimuth"][k], want["omega"][k] = state.azimuth, state.omega
+            want["pitch"][k] = u
+            loads, state = _reference_turbine_step(
+                state, params, state.collective_pitch + u, wind[k], rng)
+            want["loads"][k] = loads
+        assert np.count_nonzero(time < t_wind) == int(t_wind * rate) + 1
+        np.testing.assert_array_equal(record.time, time)
+        np.testing.assert_array_equal(record.wind, wind)
+        for name, series in want.items():
+            np.testing.assert_array_equal(getattr(record, name), series,
+                                          err_msg=name)
 
 
 class TestRotorModel:

@@ -1,19 +1,23 @@
 """Tests for basis projection, the lifted predictor, DARE and the controller."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from sprclab.harness import ExperimentConfig, run_experiment, variance_reduction
+from sprclab.harness import (ExperimentConfig, ScenarioEvent, Seeds,
+                             run_experiment, variance_reduction)
 from sprclab.plant import (LoadModel, TurbineParams, TurbineState,
                            make_benchmark_plant, simulate_lti, turbine_step)
 from sprclab.sprc import (BasisMatrix, SprcConfig, SprcController,
                           assemble_predictor, basis_rows, build_basis,
                           control_sample, dare_step, feedback_gain,
                           project_predictor, solve_dare, update_theta)
-from sprclab.sysid import choose_past_window
+from sprclab.sysid import (DeltaBuffer, MarkovEstimate, NumericError,
+                           batch_solve, choose_past_window)
 
 
 class TestBasis:
@@ -83,6 +87,21 @@ class TestControlSample:
                 rtol=0.0, atol=1e-14)
 
 
+def _contracting_markov(rng, p, l):
+    """Random Markov matrix whose output blocks sum to norm 1/2, so that
+    (I - Gt)^{-1} has norm at most 2 whatever the period."""
+    markov = rng.standard_normal((l, 2 * l * p))
+    blocks = markov[:, l * p:].reshape(l, p, l).transpose(1, 0, 2)
+    markov[:, l * p:] *= 0.5 / np.linalg.norm(blocks, 2, axis=(1, 2)).sum()
+    return markov
+
+
+_PREDICTOR_DRAWS = dict(p=st.integers(1, 20), extra=st.integers(0, 40),
+                        l=st.integers(1, 3),
+                        harmonics=st.sampled_from([(1,), (1, 2)]),
+                        seed=st.integers(0, 2**32 - 1))
+
+
 class TestAssemblePredictor:
     def test_zero_markov_gives_open_loop_predictor(self):
         p, P = 3, 12
@@ -140,6 +159,27 @@ class TestAssemblePredictor:
         np.testing.assert_array_equal(lp.ig, np.eye(l * P) - gt)
         np.testing.assert_array_equal(lp.gku_t, gku_t)
         np.testing.assert_array_equal(lp.gky_t, gky_t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PREDICTOR_DRAWS)
+    def test_blocks_match_kron_reference_property(self, p, extra, l,
+                                                  harmonics, seed):
+        # The fixed cases above, drawn over (P, p, r = l); the harmonics
+        # only matter to the projection.
+        P = max(p, 9) + extra
+        markov = _contracting_markov(np.random.default_rng(seed), p, l)
+        mu = [markov[:, (p - 1 - q) * l:(p - q) * l] for q in range(p)]
+        my = [markov[:, l * p + (p - 1 - q) * l:l * p + (p - q) * l]
+              for q in range(p)]
+        lp = assemble_predictor(markov, p, P, l, l)
+        np.testing.assert_array_equal(lp.ht, sum(
+            np.kron(np.eye(P, P, -(q + 1)), mu[q]) for q in range(p)))
+        np.testing.assert_array_equal(lp.ig, np.eye(l * P) - sum(
+            np.kron(np.eye(P, P, -(q + 1)), my[q]) for q in range(p)))
+        np.testing.assert_array_equal(lp.gku_t, sum(
+            np.kron(np.eye(P, P, P - 1 - q), mu[q]) for q in range(p)))
+        np.testing.assert_array_equal(lp.gky_t, sum(
+            np.kron(np.eye(P, P, P - 1 - q), my[q]) for q in range(p)))
 
     def test_matches_lti_oracle(self):
         # With exact Markov parameters and noise-free data, the lifted
@@ -211,6 +251,26 @@ class TestProjection:
             markov = 0.3 * rng.standard_normal((r, 2 * r * p))
         lp = assemble_predictor(markov, p, P, r, r)
         basis = build_basis(P, r, harmonics)
+        abar, bbar = project_predictor(lp, basis)
+        nb = basis.n_params
+        pu = basis.pinv @ lp.gku @ basis.phi
+        py = basis.pinv @ lp.gky @ basis.phi
+        ph = basis.pinv @ lp.h @ basis.phi
+        for rows in (slice(0, nb), slice(2 * nb, 3 * nb)):
+            np.testing.assert_allclose(abar[rows, nb:2 * nb], pu, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(abar[rows, 2 * nb:], py, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(bbar[rows], ph, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_PREDICTOR_DRAWS)
+    def test_matches_projection_of_solved_predictor_property(
+            self, p, extra, l, harmonics, seed):
+        P = max(p, 9) + extra
+        markov = _contracting_markov(np.random.default_rng(seed), p, l)
+        lp = assemble_predictor(markov, p, P, l, l)
+        basis = build_basis(P, l, harmonics)
         abar, bbar = project_predictor(lp, basis)
         nb = basis.n_params
         pu = basis.pinv @ lp.gku @ basis.phi
@@ -385,6 +445,71 @@ class TestController:
         angles = 2.0 * np.pi * np.arange(1, 53) / 52.0
         np.testing.assert_allclose(basis_rows(angles, 2), basis.phi,
                                    atol=1e-12)
+
+
+class TestRotationFold:
+    @pytest.mark.parametrize("per_rev", [39, 81])
+    def test_estimate_matches_batch_of_row_by_row_regressors(self, per_rev):
+        # Rotations shorter and longer than P = 46, with a NaN and an inf
+        # burst in the loads. Oracle: the rows a DeltaBuffer yields sample
+        # by sample, less those MarkovEstimate.update refuses, solved by
+        # batch_solve. A dropped row that update accepts, or the reverse,
+        # moves the estimate far past the bound.
+        cfg = SprcConfig(ident_duration_s=1e9, excitation_amplitude_deg=10.0)
+        ctrl = SprcController(cfg, 52.0)
+        assert ctrl.period == 46
+        rng = np.random.default_rng(per_rev)
+        n = 60 * per_rev + per_rev // 2
+        y = rng.standard_normal((n, 2))
+        y[700, 0] = np.nan
+        y[1500:1503] = np.inf
+        azimuth = 2.0 * np.pi * (np.arange(n) % per_rev) / per_rev
+        u = np.array([ctrl.step(y[k], azimuth[k], 0.0) for k in range(n)])
+
+        # Only rotations that ended are folded in.
+        folded = (n // per_rev) * per_rev
+        buf = DeltaBuffer(ctrl.period, cfg.past_window, 2, 2)
+        row_api = MarkovEstimate(2, 2, cfg.past_window)
+        z, t, refused = [], [], set()
+        for k in range(folded):
+            buf.push(u[k], y[k])
+            if not buf.ready:
+                continue
+            try:
+                row_api.update(buf.regressor(), buf.delta_y())
+            except NumericError:
+                refused.add(k // per_rev)
+                continue
+            z.append(buf.regressor())
+            t.append(buf.delta_y())
+        assert refused
+        assert [tel.fault for tel in ctrl.telemetry] == [
+            i in refused for i in range(n // per_rev)]
+        batch = batch_solve(np.array(z), np.array(t), cfg.forgetting)
+        gap = np.linalg.norm(ctrl.markov.estimate - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
+
+class TestOperatingEnvelope:
+    # Static45, seeds 0-2, reduction over 80-120 s: a wind step at 40 s
+    # landed within 0.7 pp of a steady run at the destination speed, for
+    # 4 -> 5, 5 -> 4 and 5 -> 6 m/s (P = 72, 46, 46 against about 53, 81
+    # and 39 samples per rotation after the step).
+    @pytest.mark.parametrize("start, end", [(4.0, 5.0), (5.0, 4.0),
+                                            (5.0, 6.0)])
+    def test_wind_step_reaches_steady_reduction(self, start, end):
+        seeds = Seeds(wind=0, noise=100, excitation=200)
+
+        def reduction(mean_wind, events=()):
+            base = ExperimentConfig(mode="static45", mean_wind=mean_wind,
+                                    duration=120.0, eval_start_s=80.0,
+                                    seeds=seeds, events=events)
+            controlled = replace(base, controller="sprc-1p2p")
+            return variance_reduction(run_experiment(base),
+                                      run_experiment(controlled))["pooled"]
+
+        stepped = reduction(start, (ScenarioEvent(40.0, "wind_mean", end),))
+        assert abs(stepped - reduction(end)) < 2.0
 
 
 class TestZeroExcitation:

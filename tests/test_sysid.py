@@ -72,6 +72,32 @@ class TestDeltaBuffer:
             np.testing.assert_array_equal(buf.regressor(), expected)
             np.testing.assert_array_equal(buf.delta_y(), y[k] - y[k - P])
 
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 30), p=st.integers(1, 12), r=st.integers(1, 3),
+           l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_yield_the_rows_of_single_pushes(self, P, p, r, l, seed):
+        # extend over blocks of random length returns, in order, exactly
+        # the rows that single pushes make ready, bitwise.
+        steps = 4 * (P + p + 1)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((steps, r))
+        y = rng.standard_normal((steps, l))
+        single = DeltaBuffer(P, p, r, l)
+        z, t = [], []
+        for k in range(steps):
+            single.push(u[k], y[k])
+            if single.ready:
+                z.append(single.regressor())
+                t.append(single.delta_y())
+        cuts = np.sort(rng.choice(np.arange(1, steps), rng.integers(0, 12),
+                                  replace=False))
+        block = DeltaBuffer(P, p, r, l)
+        rows = [block.extend(u[a:b], y[a:b])
+                for a, b in zip([0, *cuts], [*cuts, steps])]
+        np.testing.assert_array_equal(np.vstack([zb for zb, _ in rows]), z)
+        np.testing.assert_array_equal(np.vstack([tb for _, tb in rows]), t)
+        np.testing.assert_array_equal(block.regressor(), z[-1])
+
     def test_delta_y_is_not_overwritten_by_later_pushes(self):
         buf = DeltaBuffer(3, 1, 1, 1)
         for k in range(5):
@@ -132,6 +158,33 @@ class TestMarkovEstimate:
         batch = batch_solve(z, t, forgetting=1.0)
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
+    def test_fold_drops_the_rows_update_refuses(self):
+        r, l, p = 2, 2, 3
+        dim = (r + l) * p
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((300, dim))
+        t = rng.standard_normal((300, l))
+        z[5, 0] = z[77, dim - 1] = np.nan
+        t[150, 1] = -np.inf
+        rows = MarkovEstimate(r, l, p, forgetting=1.0)
+        refused = []
+        for i, (zi, ti) in enumerate(zip(z, t)):
+            try:
+                rows.update(zi, ti)
+            except NumericError:
+                refused.append(i)
+        assert refused == [5, 77, 150]
+        blocks = MarkovEstimate(r, l, p, forgetting=1.0)
+        dropped = [blocks.fold(z[a:b], t[a:b])
+                   for a, b in ((0, 100), (100, 250), (250, 300))]
+        assert dropped == [2, 1, 0]
+        keep = np.ones(300, dtype=bool)
+        keep[refused] = False
+        batch = batch_solve(z[keep], t[keep], forgetting=1.0)
+        for est in (rows, blocks):
+            gap = np.linalg.norm(est.estimate - batch)
+            assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
     def test_zero_regressors_leave_estimate_at_init(self):
         est = MarkovEstimate(1, 1, 2)
