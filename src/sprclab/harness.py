@@ -117,7 +117,9 @@ class ExperimentRecord:
         return 1.0 / self.config.plant.ts
 
     def eval_slice(self) -> slice:
-        return slice(int(self.config.eval_start_s * self.rate), None)
+        """Samples from the first k with time[k] >= eval_start_s on."""
+        return slice(int(np.searchsorted(self.time, self.config.eval_start_s)),
+                     None)
 
 
 def _setpoints(config: ExperimentConfig,
@@ -271,11 +273,19 @@ def actuator_duty(record: ExperimentRecord) -> list[float]:
 
 
 def export_csv(record: ExperimentRecord, path: str) -> None:
+    """Write the time series as CSV with CRLF line ends.
+
+    Each chunk of rows is formatted by one `%` string; chunking keeps the
+    floats of the whole run from being held as one tuple.
+    """
     columns = np.column_stack([record.time, record.pitch, record.loads,
                                record.azimuth, record.omega, record.wind])
-    np.savetxt(path, columns, fmt=["%.6f"] + ["%.9g"] * 7, delimiter=",",
-               newline="\r\n", header="time,u1,u2,y1,y2,psi,omega,wind",
-               comments="")
+    row = ",".join(["%.6f"] + ["%.9g"] * 7) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("time,u1,u2,y1,y2,psi,omega,wind\r\n")
+        for start in range(0, len(columns), 1024):
+            chunk = columns[start:start + 1024]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def export_json(record: ExperimentRecord, path: str) -> None:

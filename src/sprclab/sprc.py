@@ -380,15 +380,17 @@ class SprcController:
         Rows are evaluated at the recorded azimuths (tolerating rotor speed
         variation) and a DC column is fitted alongside so the mean load
         cannot leak into the harmonic coefficients; only the harmonic part
-        is returned.
+        is returned. The kron'd basis is block-diagonal across blades, so
+        one fit of the scalar rows against all blades' loads at once gives
+        its coefficients, in its order once raveled.
         """
         if len(angles) < max(8, self.basis.n_params):
             return None
-        rows = basis_rows(angles, N_BLADES, self.harmonics)
-        dc = np.kron(np.ones((len(angles), 1)), np.eye(N_BLADES))
-        coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), loads.ravel(),
+        rows = basis_rows(angles, 1, self.harmonics)
+        dc = np.ones((len(angles), 1))
+        coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), loads,
                                      rcond=None)
-        return coeffs[:self.basis.n_params]
+        return coeffs[:-1].ravel()
 
     def _synthesize(self, tel: RotationTelemetry) -> None:
         cfg = self.config

@@ -4,14 +4,15 @@ The period-P difference operator annihilates the periodic disturbance, so
 the remaining input/output behavior is captured by the Markov parameter
 matrix [C At^{p-1}B ... CB | C At^{p-1}K ... CK]. The recursive solver
 keeps a square-root (QR) information factor and folds a block of rows into
-it per QR update; a batch least-squares solver serves as its oracle.
+it per triangular-pentagonal QR update; a batch least-squares solver serves
+as its oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 
 class NotReadyError(RuntimeError):
@@ -96,11 +97,14 @@ class DeltaBuffer:
 class MarkovEstimate:
     """Exponentially weighted RLS for the Markov matrix via QR updates.
 
-    The information state is an upper-triangular factor R and right-hand
-    side maintained by orthogonal (QR) updates; no covariance inverse is
-    ever formed. `fold` takes a block of rows in one QR update, which is
-    algebraically identical to one-row-at-a-time updates; `update` queues
-    single rows and folds every `flush_every` of them as one block.
+    The information state is one square upper-triangular factor
+    [R, rhs; 0, S] of the weighted rows [regressor, target], maintained by
+    orthogonal (QR) updates; no covariance inverse is ever formed. The
+    estimate solves R xi' = rhs. The l x l residual block S never reaches
+    the top rows, so it does not affect the estimate. `fold` takes a block
+    of rows in one QR update, which is algebraically identical to
+    one-row-at-a-time updates; `update` queues single rows and folds every
+    `flush_every` of them as one block.
     """
 
     def __init__(self, n_inputs: int, n_outputs: int, past_window: int,
@@ -110,8 +114,9 @@ class MarkovEstimate:
         self.n_outputs = n_outputs
         self.forgetting = forgetting
         self.dim = (n_inputs + n_outputs) * past_window
-        self._rfac = np.sqrt(1e-6) * np.eye(self.dim)  # ridge prior 1e-6 I
-        self._rhs = np.zeros((self.dim, n_outputs))
+        # Ridge prior 1e-6 I on the regressor block; rhs and S start at 0.
+        self._factor = np.zeros((self.dim + n_outputs,) * 2)
+        self._factor[:self.dim, :self.dim] = np.sqrt(1e-6) * np.eye(self.dim)
         self._pending_z: list[np.ndarray] = []
         self._pending_t: list[np.ndarray] = []
         self._flush_every = flush_every
@@ -158,19 +163,23 @@ class MarkovEstimate:
         lam = self.forgetting
         # Row i of the block has age m-1-i; prior data ages by m.
         weights = np.sqrt(lam ** np.arange(m - 1, -1, -1.0))[:, None]
-        compound = np.block([[lam ** (m / 2.0) * self._rfac,
-                              lam ** (m / 2.0) * self._rhs],
-                             [weights * regressors, weights * targets]])
-        # scipy's QR keeps the fold on the OpenBLAS pool of the solves.
-        fac = qr(compound, mode="r")[0]
-        self._rfac = fac[:self.dim, :self.dim]
-        self._rhs = fac[:self.dim, self.dim:]
+        rows = weights * np.hstack((regressors, targets))
+        # LAPACK's triangular-pentagonal QR (l = 0: the new rows are a
+        # full rectangle) eliminates only the m new rows below the factor.
+        nb = min(8, len(self._factor))  # block size, 1 <= nb <= dim + l
+        factor, _, _, info = lapack.dtpqrt(
+            0, nb, lam ** (m / 2.0) * self._factor, rows, overwrite_a=1,
+            overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dtpqrt: illegal argument {-info}")
+        self._factor = factor
 
     @property
     def estimate(self) -> np.ndarray:
         """Current Markov matrix estimate, shape l x ((r+l) p)."""
         self._flush()
-        xi_t = solve_triangular(self._rfac, self._rhs)
+        top = self._factor[:self.dim]
+        xi_t = solve_triangular(top[:, :self.dim], top[:, self.dim:])
         if not np.all(np.isfinite(xi_t)):
             raise NumericError("estimate became non-finite")
         return xi_t.T

@@ -130,6 +130,20 @@ class TestRunExperiment:
         np.testing.assert_array_equal(collective[first:], 7.0)
         np.testing.assert_array_equal(run_experiment(config).wind, wind)
 
+    @pytest.mark.parametrize("start_s", [0.145, 1.005])
+    def test_metric_window_starts_at_the_first_sample_in_it(self, start_s):
+        # The window opens at the first sample whose time reaches
+        # eval_start_s, as events do; int(start_s * rate) is one earlier.
+        record = run_experiment(_fast_config(duration=3.0,
+                                             eval_start_s=start_s))
+        first = next(k for k, t in enumerate(record.time) if t >= start_s)
+        assert first == int(start_s * 200) + 1
+        assert record.eval_slice() == slice(first, None)
+        assert record.metrics["load_variance"] == [
+            float(v) for v in record.loads[first:].var(axis=0)]
+        assert actuator_duty(record) == [
+            float(v) for v in record.pitch[first:].var(axis=0)]
+
 
 class TestVarianceReduction:
     def test_identical_runs_give_zero(self):

@@ -447,6 +447,42 @@ class TestController:
                                    atol=1e-12)
 
 
+def _kron_ybar_reference(angles, loads, harmonics):
+    # The fit over all blades at once: kron'd basis rows and a DC column
+    # per blade against the interleaved loads.
+    rows = basis_rows(angles, 2, harmonics)
+    dc = np.kron(np.ones((len(angles), 1)), np.eye(2))
+    coeffs = np.linalg.lstsq(np.hstack([rows, dc]), loads.ravel(),
+                             rcond=None)[0]
+    return coeffs[:rows.shape[1]]
+
+
+class TestHarmonicFit:
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    @pytest.mark.parametrize("m", [39, 52, 81])
+    def test_matches_kron_fit(self, harmonics, m):
+        ctrl = SprcController(SprcConfig(), 52.0, harmonics=harmonics)
+        rng = np.random.default_rng(m)
+        # One rotation sampled non-uniformly, as under a changing speed.
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        loads = (rng.standard_normal((m, 2))
+                 + np.outer(np.sin(angles + 0.3), [4.0, -2.0]) + 7.0)
+        want = _kron_ybar_reference(angles, loads, harmonics)
+        got = ctrl._estimate_ybar(angles, loads)
+        assert got.shape == (ctrl.basis.n_params,)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    def test_short_rotation_gives_none(self, harmonics):
+        ctrl = SprcController(SprcConfig(), 52.0, harmonics=harmonics)
+        m = max(8, ctrl.basis.n_params)
+        angles = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        loads = np.ones((m, 2))
+        assert ctrl._estimate_ybar(angles[:-1], loads[:-1]) is None
+        assert ctrl._estimate_ybar(angles, loads) is not None
+
+
 class TestRotationFold:
     @pytest.mark.parametrize("per_rev", [39, 81])
     def test_estimate_matches_batch_of_row_by_row_regressors(self, per_rev):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,7 +142,7 @@ class TestMarkovEstimate:
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
     def test_flush_does_not_use_numpy_qr(self, monkeypatch):
-        # The flush factorizes with scipy.linalg.qr, on the same OpenBLAS
+        # The flush factorizes with scipy's LAPACK, on the same OpenBLAS
         # pool as the triangular solves; numpy bundles a second pool.
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg.qr called")
@@ -185,6 +186,70 @@ class TestMarkovEstimate:
         for est in (rows, blocks):
             gap = np.linalg.norm(est.estimate - batch)
             assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
+    # Block sizes include single rows; (1, 1, 2) has dim + l = 5, below
+    # the fold's block size of 8.
+    BLOCKS = (1, 7, 1, 30, 2, 45)
+
+    @pytest.mark.parametrize("r, l, p", [(1, 1, 2), (2, 2, 3)])
+    def test_factor_matches_qr_of_explicit_compound(self, r, l, p):
+        # Oracle: numpy's dense QR of the whole weighted history below the
+        # weighted ridge prior. Its R is unique up to the signs of its rows.
+        dim = (r + l) * p
+        lam = 0.97
+        rng = np.random.default_rng(r + 10 * p)
+        est = MarkovEstimate(r, l, p, forgetting=lam)
+        z, t = [], []
+        for m in self.BLOCKS:
+            zb, tb = rng.standard_normal((m, dim)), rng.standard_normal((m, l))
+            est.fold(zb, tb)
+            z.append(zb)
+            t.append(tb)
+        z, t = np.vstack(z), np.vstack(t)
+        n = len(z)
+        weights = np.sqrt(lam ** np.arange(n - 1, -1, -1.0))[:, None]
+        prior = np.hstack([np.sqrt(1e-6) * np.eye(dim), np.zeros((dim, l))])
+        compound = np.vstack([lam ** (n / 2.0) * prior,
+                              weights * np.hstack([z, t])])
+        want = np.linalg.qr(compound, mode="r")[:dim]
+        got = est._factor[:dim]
+        signs = np.sign(np.diag(want)) * np.sign(np.diag(got))
+        np.testing.assert_allclose(signs[:, None] * got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("r, l, p", [(1, 1, 2), (2, 2, 3)])
+    def test_blocks_match_batch_oracle_with_forgetting(self, r, l, p):
+        dim = (r + l) * p
+        rng = np.random.default_rng(7 * r + p)
+        z = rng.standard_normal((600, dim))
+        t = rng.standard_normal((600, l))
+        est = MarkovEstimate(r, l, p, forgetting=0.999)
+        cuts = np.cumsum((0, *self.BLOCKS))
+        for a, b in zip(cuts, [*cuts[1:], 600]):
+            est.fold(z[a:b], t[a:b])
+        batch = batch_solve(z, t, forgetting=0.999)
+        gap = np.linalg.norm(est.estimate - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
+    def test_fold_uses_no_dense_qr(self, monkeypatch):
+        # The fold is LAPACK's triangular-pentagonal update, not a dense
+        # QR of the stacked factor and rows.
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense QR called")
+
+        monkeypatch.setattr(scipy.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr("sprclab.sysid.qr", refuse, raising=False)
+        r, l, p = 2, 2, 3
+        dim = (r + l) * p
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((200, dim))
+        t = rng.standard_normal((200, l))
+        est = MarkovEstimate(r, l, p, forgetting=1.0)
+        assert est.fold(z, t) == 0
+        batch = batch_solve(z, t, forgetting=1.0)
+        gap = np.linalg.norm(est.estimate - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
     def test_zero_regressors_leave_estimate_at_init(self):
         est = MarkovEstimate(1, 1, 2)
