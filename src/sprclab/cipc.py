@@ -9,46 +9,30 @@ integrators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def coleman_forward(loads: np.ndarray, azimuth: float) -> tuple[float, float]:
+def _blade_trig(azimuth: float) -> tuple[float, float, float, float]:
+    """cos and sin of blade 1 at psi, then of blade 2 at psi + pi."""
+    return (math.cos(azimuth), math.sin(azimuth),
+            math.cos(azimuth + math.pi), math.sin(azimuth + math.pi))
+
+
+def coleman_forward(loads, azimuth: float) -> tuple[float, float]:
     """Fixed-frame (tilt, yaw) moments from two blade loads at psi, psi+pi."""
     m1, m2 = loads
-    tilt = m1 * np.cos(azimuth) + m2 * np.cos(azimuth + np.pi)
-    yaw = m1 * np.sin(azimuth) + m2 * np.sin(azimuth + np.pi)
-    return float(tilt), float(yaw)
+    c1, s1, c2, s2 = _blade_trig(azimuth)
+    return float(m1 * c1 + m2 * c2), float(m1 * s1 + m2 * s2)
 
 
 def coleman_inverse(tilt_cmd: float, yaw_cmd: float,
-                    azimuth: float) -> np.ndarray:
+                    azimuth: float) -> tuple[float, float]:
     """Per-blade pitch from fixed-frame commands; blade 2 sits at psi+pi."""
-    b1 = tilt_cmd * np.cos(azimuth) + yaw_cmd * np.sin(azimuth)
-    b2 = tilt_cmd * np.cos(azimuth + np.pi) + yaw_cmd * np.sin(azimuth + np.pi)
-    return np.array([b1, b2])
-
-
-class _Notch:
-    """Second-order IIR notch with retunable center frequency."""
-
-    def __init__(self, pole_radius: float):
-        self.pole_radius = pole_radius
-        self._x = np.zeros(2)
-        self._y = np.zeros(2)
-
-    def step(self, x: float, center_rad: float) -> float:
-        """Filter one sample; `center_rad` is the notch angle omega0*Ts."""
-        c = np.cos(center_rad)
-        rho = self.pole_radius
-        # Unity DC gain normalization.
-        k = (1.0 - 2.0 * rho * c + rho * rho) / (2.0 - 2.0 * c)
-        y = (k * (x - 2.0 * c * self._x[0] + self._x[1])
-             + 2.0 * rho * c * self._y[0] - rho * rho * self._y[1])
-        self._x[1], self._x[0] = self._x[0], x
-        self._y[1], self._y[0] = self._y[0], y
-        return y
+    c1, s1, c2, s2 = _blade_trig(azimuth)
+    return tilt_cmd * c1 + yaw_cmd * s1, tilt_cmd * c2 + yaw_cmd * s2
 
 
 @dataclass
@@ -72,6 +56,44 @@ class CipcConfig:
             raise ValueError("pitch_limit_deg: must be positive")
 
 
+class _Channel:
+    """One fixed-frame channel: a 2P notch, then PI with anti-windup.
+
+    The notch is a second-order IIR with retunable center frequency. Its
+    taps and the integrator are Python floats: numpy's per-call cost on
+    scalars would be most of the step's time.
+    """
+
+    def __init__(self, config: CipcConfig, ts: float):
+        self.config = config
+        self.ts = ts
+        self.integrator = 0.0
+        self._x1 = self._x2 = self._y1 = self._y2 = 0.0
+
+    def step(self, x: float, c: float, k: float) -> float:
+        """Filter and integrate one sample; returns the channel command.
+
+        c is the cosine of the notch angle omega0*Ts and k the gain that
+        normalizes the notch to unity DC gain.
+        """
+        cfg = self.config
+        rho = cfg.notch_pole_radius
+        y = (k * (x - 2.0 * c * self._x1 + self._x2)
+             + 2.0 * rho * c * self._y1 - rho * rho * self._y2)
+        self._x2, self._x1 = self._x1, x
+        self._y2, self._y1 = self._y1, y
+        error = -y
+        integ = self.integrator + error * self.ts
+        cmd = cfg.kp * error + cfg.ki * integ
+        # Anti-windup: clamp the integrator at the pitch limits.
+        if abs(cmd) > cfg.pitch_limit_deg and cfg.ki != 0.0:
+            integ = (math.copysign(cfg.pitch_limit_deg, cmd)
+                     - cfg.kp * error) / cfg.ki
+            cmd = cfg.kp * error + cfg.ki * integ
+        self.integrator = integ
+        return cmd
+
+
 class CipcController:
     """Forward Coleman -> 2P notch -> PI per channel -> inverse Coleman."""
 
@@ -82,27 +104,25 @@ class CipcController:
         self.config = config or CipcConfig()
         self.ts = ts
         self.telemetry: list = []  # CIPC keeps no per-rotation record
-        # Tilt and yaw channel states.
-        self.integrator = np.zeros(2)
-        self.notches = [_Notch(self.config.notch_pole_radius) for _ in range(2)]
+        self.tilt = _Channel(self.config, ts)
+        self.yaw = _Channel(self.config, ts)
 
-    def step(self, loads: np.ndarray, azimuth: float,
-             omega: float) -> np.ndarray:
-        """One control sample; omega (rad/s) sets the 2P notch center."""
-        cfg = self.config
-        tilt, yaw = coleman_forward(loads, azimuth)
-        center = min(2.0 * omega * self.ts, np.pi * 0.9)
-        commands = np.empty(2)
-        for i, raw in enumerate((tilt, yaw)):
-            filtered = self.notches[i].step(raw, center)
-            error = -filtered
-            integ = self.integrator[i] + error * self.ts
-            cmd = cfg.kp * error + cfg.ki * integ
-            # Anti-windup: clamp the integrator at the pitch limits.
-            if abs(cmd) > cfg.pitch_limit_deg and cfg.ki != 0.0:
-                integ = (np.sign(cmd) * cfg.pitch_limit_deg
-                         - cfg.kp * error) / cfg.ki
-                cmd = cfg.kp * error + cfg.ki * integ
-            self.integrator[i] = integ
-            commands[i] = cmd
-        return coleman_inverse(commands[0], commands[1], azimuth)
+    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
+        """One control sample; omega (rad/s) sets the 2P notch center.
+
+        `loads` is any pair of floats; the command is a fresh array. The
+        step applies `coleman_forward` and `coleman_inverse` inline, so
+        the blade angles' cos and sin are evaluated once.
+        """
+        m1, m2 = loads
+        c1, s1, c2, s2 = _blade_trig(azimuth)
+        # The notch coefficients both channels share.
+        c = math.cos(min(2.0 * omega * self.ts, math.pi * 0.9))
+        rho = self.config.notch_pole_radius
+        k = (1.0 - 2.0 * rho * c + rho * rho) / (2.0 - 2.0 * c)
+        tilt = self.tilt.step(m1 * c1 + m2 * c2, c, k)
+        yaw = self.yaw.step(m1 * s1 + m2 * s2, c, k)
+        u = np.empty(2)  # faster than np.array of a tuple
+        u[0] = tilt * c1 + yaw * s1
+        u[1] = tilt * c2 + yaw * s2
+        return u

@@ -152,8 +152,7 @@ class NullController:
     def __init__(self):
         self.telemetry: list = []
 
-    def step(self, loads: np.ndarray, azimuth: float,
-             omega: float) -> np.ndarray:
+    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
         return np.zeros(N_BLADES)
 
 
@@ -194,20 +193,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     servo1, servo2 = state.servo_pitch.tolist()
     pitch = np.zeros((n, N_BLADES))
     loads = np.zeros((n, N_BLADES))
-    y = np.zeros(N_BLADES)  # the controller sees the previous sample's loads
+    # Element writes of Python floats through memoryviews: a numpy row
+    # write per sample would cost more than the servo and load update.
+    pitch_out, loads_out = memoryview(pitch), memoryview(loads)
+    y = (0.0, 0.0)  # the controller sees the previous sample's loads
     # One plain float per blade: numpy's per-call cost on two-element
     # arrays would be most of the loop's time.
     for k, (psi, omega, coll, (p1, p2), (w1, w2), (e1, e2)) in enumerate(
             float_rows(rotor.azimuth, rotor.omega, collective, rotor.periodic,
                        rotor.wind_term, rotor.noise)):
-        u = controller.step(y, psi, omega)
-        u1, u2 = u.tolist()
+        u1, u2 = controller.step(y, psi, omega).tolist()
         servo1 = a * servo1 + (1.0 - a) * (coll + u1)
         servo2 = a * servo2 + (1.0 - a) * (coll + u2)
-        y = np.array((p1 + gain * (servo1 - coll) + w1 + e1,
-                      p2 + gain * (servo2 - coll) + w2 + e2))
-        pitch[k] = u
-        loads[k] = y
+        y = (p1 + gain * (servo1 - coll) + w1 + e1,
+             p2 + gain * (servo2 - coll) + w2 + e2)
+        pitch_out[k, 0], pitch_out[k, 1] = u1, u2
+        loads_out[k, 0], loads_out[k, 1] = y
 
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
                               loads=loads, azimuth=rotor.azimuth,

@@ -10,10 +10,11 @@ phase reference is azimuth rather than time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .plant import N_BLADES, TS_DEFAULT
 from .sysid import DeltaBuffer, MarkovEstimate, NumericError
@@ -171,10 +172,17 @@ def project_predictor(lp: LiftedPredictor,
 
 def dare_step(p_riccati: np.ndarray, abar: np.ndarray, bbar: np.ndarray,
               q_weight: np.ndarray, r_weight: np.ndarray) -> np.ndarray:
-    """One fixed-point iteration of the discrete algebraic Riccati recursion."""
-    s = r_weight + bbar.T @ p_riccati @ bbar
-    gain_term = p_riccati @ bbar @ np.linalg.solve(s, bbar.T @ p_riccati)
-    nxt = q_weight + abar.T @ (p_riccati - gain_term) @ abar
+    """One fixed-point iteration of the discrete algebraic Riccati recursion.
+
+    P is symmetric, so B'P is (PB)': PB is formed once, and
+    (R + B'PB)^{-1} (PB)' takes one LU solve, LAPACK's dgesv as in
+    np.linalg.solve.
+    """
+    pb = p_riccati @ bbar
+    _, _, x, info = lapack.dgesv(r_weight + bbar.T @ pb, pb.T)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular Riccati gain matrix")
+    nxt = q_weight + abar.T @ (p_riccati - pb @ x) @ abar
     return 0.5 * (nxt + nxt.T)
 
 
@@ -189,8 +197,9 @@ def solve_dare(abar: np.ndarray, bbar: np.ndarray, q_weight: np.ndarray,
     residual = np.inf
     for it in range(1, max_iterations + 1):
         nxt = dare_step(p_riccati, abar, bbar, q_weight, r_weight)
-        residual = np.linalg.norm(nxt - p_riccati, "fro") / (
-            1.0 + np.linalg.norm(p_riccati, "fro"))
+        # Frobenius norms as in np.linalg.norm, without its dispatch.
+        d, p = (nxt - p_riccati).ravel(), p_riccati.ravel()
+        residual = math.sqrt(d @ d) / (1.0 + math.sqrt(p @ p))
         p_riccati = nxt
         if residual < tol:
             break
@@ -303,12 +312,24 @@ class SprcController:
         self._r = np.eye(nb) * config.r_weight
         self._rng = np.random.default_rng(excitation_seed)
         self._prev_azimuth: float | None = None
-        # (psi, u, y) of every sample since the last boundary.
-        self._rotation: list[tuple[float, np.ndarray, np.ndarray]] = []
+        # (psi, u1, u2, y1, y2) of every sample since the last boundary.
+        self._rotation = array("d")
         self._sample = 0
         self._had_control_rotation = False
         self.telemetry: list[RotationTelemetry] = []
         self._draw_excitation()
+        self._unpack_theta()
+
+    def _unpack_theta(self) -> None:
+        """Theta as one float tuple per harmonic h: (h, sin amplitudes of
+        blades 1 and 2, cos amplitudes of blades 1 and 2).
+
+        The per-sample command then needs no numpy call; theta only
+        changes at a rotation boundary.
+        """
+        t = self.theta.tolist()
+        self._terms = [(h, t[4 * i], t[4 * i + 1], t[4 * i + 2],
+                        t[4 * i + 3]) for i, h in enumerate(self.harmonics)]
 
     def _draw_excitation(self) -> None:
         """Random-phase excitation at the basis harmonics, fixed amplitude."""
@@ -327,13 +348,13 @@ class SprcController:
     def in_identification_phase(self) -> bool:
         return self._sample * self.ts < self.config.ident_duration_s
 
-    def step(self, loads: np.ndarray, azimuth: float,
-             omega: float) -> np.ndarray:
+    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
         """Process one sample; returns the per-blade pitch command (deg).
 
+        `loads` is any pair of floats; the command is a fresh array.
         Commands are indexed by azimuth alone, so `omega` is not read. The
         sample is only recorded here; the rotation boundary identifies from
-        the whole rotation at once.
+        the whole rotation at once. u is `control_sample` on Python floats.
         """
         wrapped = (self._prev_azimuth is not None
                    and azimuth < self._prev_azimuth)
@@ -341,14 +362,20 @@ class SprcController:
             self._on_rotation_boundary()
         self._prev_azimuth = azimuth
 
-        u = control_sample(self.theta, azimuth, N_BLADES, self.harmonics)
-        self._rotation.append((azimuth, u, np.array(loads, dtype=float)))
+        u1 = u2 = 0.0
+        for h, s1, s2, c1, c2 in self._terms:
+            s, c = math.sin(h * azimuth), math.cos(h * azimuth)
+            u1 += s * s1 + c * c1
+            u2 += s * s2 + c * c2
+        y1, y2 = loads
+        self._rotation.extend((azimuth, u1, u2, y1, y2))
         self._sample += 1
-        return u
+        return np.array((u1, u2))
 
     def _on_rotation_boundary(self) -> None:
-        psi, u, y = (np.array(column) for column in zip(*self._rotation))
-        self._rotation.clear()
+        rows = np.frombuffer(self._rotation).reshape(-1, 5)
+        self._rotation = array("d")
+        psi, u, y = rows[:, 0], rows[:, 1:3], rows[:, 3:]
         # One QR fold of the rotation's rows; a refused (non-finite) row
         # flags this record.
         refused = self.markov.fold(*self.deltas.extend(u, y))
@@ -369,6 +396,7 @@ class SprcController:
                 self._had_control_rotation = True
             else:
                 self._synthesize(tel)
+        self._unpack_theta()
         tel.theta = self.theta.copy()
         tel.delta_theta_norm = float(np.linalg.norm(self.delta_theta))
         self.telemetry.append(tel)

@@ -145,9 +145,12 @@ class MarkovEstimate:
             raise ValueError("regressor/target dimensions do not match")
         keep = (np.isfinite(regressors).all(axis=1)
                 & np.isfinite(targets).all(axis=1))
+        refused = len(keep) - int(np.count_nonzero(keep))
+        if refused:
+            regressors, targets = regressors[keep], targets[keep]
         self._flush()
-        self._qr_update(regressors[keep], targets[keep])
-        return len(keep) - int(np.count_nonzero(keep))
+        self._qr_update(regressors, targets)
+        return refused
 
     def _flush(self) -> None:
         if self._pending_z:

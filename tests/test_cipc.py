@@ -9,6 +9,60 @@ from sprclab.cipc import (CipcConfig, CipcController, coleman_forward,
 TS = 1.0 / 200.0
 
 
+class _ReferenceNotch:
+    """The numpy notch the float channel replaced, kept as its oracle."""
+
+    def __init__(self, pole_radius: float):
+        self.pole_radius = pole_radius
+        self._x = np.zeros(2)
+        self._y = np.zeros(2)
+
+    def step(self, x: float, center_rad: float) -> float:
+        c = np.cos(center_rad)
+        rho = self.pole_radius
+        k = (1.0 - 2.0 * rho * c + rho * rho) / (2.0 - 2.0 * c)
+        y = (k * (x - 2.0 * c * self._x[0] + self._x[1])
+             + 2.0 * rho * c * self._y[0] - rho * rho * self._y[1])
+        self._x[1], self._x[0] = self._x[0], x
+        self._y[1], self._y[0] = self._y[0], y
+        return y
+
+
+class _ReferenceCipc:
+    """The numpy CipcController.step the float step replaced."""
+
+    def __init__(self, config: CipcConfig, ts: float):
+        self.config = config
+        self.ts = ts
+        self.integrator = np.zeros(2)
+        self.notches = [_ReferenceNotch(config.notch_pole_radius)
+                        for _ in range(2)]
+
+    def step(self, loads: np.ndarray, azimuth: float,
+             omega: float) -> np.ndarray:
+        cfg = self.config
+        m1, m2 = loads
+        tilt = float(m1 * np.cos(azimuth) + m2 * np.cos(azimuth + np.pi))
+        yaw = float(m1 * np.sin(azimuth) + m2 * np.sin(azimuth + np.pi))
+        center = min(2.0 * omega * self.ts, np.pi * 0.9)
+        commands = np.empty(2)
+        for i, raw in enumerate((tilt, yaw)):
+            filtered = self.notches[i].step(raw, center)
+            error = -filtered
+            integ = self.integrator[i] + error * self.ts
+            cmd = cfg.kp * error + cfg.ki * integ
+            if abs(cmd) > cfg.pitch_limit_deg and cfg.ki != 0.0:
+                integ = (np.sign(cmd) * cfg.pitch_limit_deg
+                         - cfg.kp * error) / cfg.ki
+                cmd = cfg.kp * error + cfg.ki * integ
+            self.integrator[i] = integ
+            commands[i] = cmd
+        c0, c1 = commands
+        return np.array([
+            c0 * np.cos(azimuth) + c1 * np.sin(azimuth),
+            c0 * np.cos(azimuth + np.pi) + c1 * np.sin(azimuth + np.pi)])
+
+
 class TestColemanForward:
     def test_symmetric_loads_invisible(self):
         for psi in np.linspace(0.0, 2.0 * np.pi, 17):
@@ -52,7 +106,7 @@ class TestController:
         for k in range(100):
             u = ctrl.step(np.zeros(2), 0.1 * k, 24.0)
             np.testing.assert_array_equal(u, np.zeros(2))
-        np.testing.assert_array_equal(ctrl.integrator, np.zeros(2))
+        assert (ctrl.tilt.integrator, ctrl.yaw.integrator) == (0.0, 0.0)
 
     def test_constant_tilt_integrator_ramps_to_limit(self):
         # A persistent fixed-frame disturbance with no plant feedback makes
@@ -116,3 +170,56 @@ class TestController:
         f1 = omega / (2.0 * np.pi)
         band_1p = (f > 0.8 * f1) & (f < 1.2 * f1)
         assert spectrum[band_1p].sum() / spectrum.sum() > 0.95
+
+
+class TestFloatStepOracle:
+    """The float step against the numpy reference, bitwise."""
+
+    @staticmethod
+    def _compare(cfg, loads, azimuth, omega):
+        ctrl, ref = CipcController(cfg, ts=TS), _ReferenceCipc(cfg, TS)
+        got = np.array([ctrl.step(tuple(y), psi, w)
+                        for y, psi, w in zip(loads.tolist(), azimuth, omega)])
+        want = np.array([ref.step(y, psi, w)
+                         for y, psi, w in zip(loads, azimuth, omega)])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            [ctrl.tilt.integrator, ctrl.yaw.integrator], ref.integrator)
+        return got
+
+    def test_turbulent_loads_with_varying_omega(self):
+        rng = np.random.default_rng(11)
+        n = 30000
+        # Rotor speed wanders over 15-35 rad/s, so the notch retunes every
+        # sample; at the top the 2P center reaches the 0.9 pi cap.
+        omega = 25.0 + 10.0 * np.sin(np.arange(n) * 2e-4) \
+            + 0.5 * rng.standard_normal(n)
+        omega[::997] = 400.0
+        azimuth = np.cumsum(omega * TS) % (2.0 * np.pi)
+        loads = (np.column_stack((np.cos(azimuth), -np.cos(azimuth)))
+                 + 0.7 * rng.standard_normal((n, 2)))
+        self._compare(CipcConfig(), loads, azimuth, omega)
+
+    def test_anti_windup_clamp_engaged(self):
+        # The constant-tilt case: the integrator ramps until the clamp
+        # holds both channels at the limit, with either sign.
+        cfg = CipcConfig(pitch_limit_deg=2.0)
+        n = 30000
+        omega = np.full(n, 24.0)
+        azimuth = (omega * TS * np.arange(n)) % (2.0 * np.pi)
+        sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)[:, None]
+        loads = sign * np.column_stack((np.cos(azimuth) + np.sin(azimuth),
+                                        -np.cos(azimuth) - np.sin(azimuth)))
+        got = self._compare(cfg, loads, azimuth, omega)
+        # Unclamped, the integrators would ramp without bound; clamped,
+        # the two channel commands recombine to at most sqrt(2) x limit.
+        for half in (got[:n // 2], got[n // 2:]):
+            peak = np.abs(half).max()
+            assert cfg.pitch_limit_deg < peak
+            assert peak <= np.sqrt(2.0) * cfg.pitch_limit_deg * (1 + 1e-12)
+
+    def test_returns_a_fresh_array(self):
+        ctrl = CipcController(ts=TS)
+        u = ctrl.step((1.0, -1.0), 0.3, 24.0)
+        u[:] = 1e6
+        assert ctrl.step((1.0, -1.0), 0.31, 24.0).max() < 1e3

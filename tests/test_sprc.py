@@ -290,7 +290,62 @@ class TestProjection:
         np.testing.assert_allclose(basis.phi @ (basis.pinv @ y), y, atol=1e-10)
 
 
+def _reference_dare_step(p_riccati, abar, bbar, q_weight, r_weight):
+    """dare_step as first written: B'PB and PB formed separately."""
+    s = r_weight + bbar.T @ p_riccati @ bbar
+    gain_term = p_riccati @ bbar @ np.linalg.solve(s, bbar.T @ p_riccati)
+    nxt = q_weight + abar.T @ (p_riccati - gain_term) @ abar
+    return 0.5 * (nxt + nxt.T)
+
+
+def _reference_solve_dare(abar, bbar, q_weight, r_weight, p0,
+                          max_iterations, tol=1e-10):
+    p_riccati = p0.copy()
+    for it in range(1, max_iterations + 1):
+        nxt = _reference_dare_step(p_riccati, abar, bbar, q_weight, r_weight)
+        residual = np.linalg.norm(nxt - p_riccati, "fro") / (
+            1.0 + np.linalg.norm(p_riccati, "fro"))
+        p_riccati = nxt
+        if residual < tol:
+            break
+    return p_riccati, it
+
+
 class TestDare:
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    def test_matches_first_formulation(self, harmonics):
+        # A chain of warm-started solves on projected predictors, as the
+        # controller runs them: the same iteration counts and P within
+        # 1e-13 of the formulation with B'PB and (B'P) formed separately.
+        rng = np.random.default_rng(len(harmonics))
+        basis = build_basis(46, 2, harmonics)
+        nb = basis.n_params
+        q, r = np.eye(3 * nb), 3.0 * np.eye(nb)
+        p_new = p_ref = q
+        counts = []
+        for _ in range(12):
+            markov = _contracting_markov(rng, 20, 2)
+            markov[:, :40] *= 0.3
+            abar, bbar = project_predictor(
+                assemble_predictor(markov, 20, 46, 2, 2), basis)
+            for max_iterations in (50, 500):
+                p_new, it_new, _ = solve_dare(abar, bbar, q, r, p0=p_new,
+                                              max_iterations=max_iterations)
+                p_ref, it_ref = _reference_solve_dare(abar, bbar, q, r, p_ref,
+                                                      max_iterations)
+                assert it_new == it_ref
+                counts.append(it_new)
+                np.testing.assert_allclose(p_new, p_ref, rtol=1e-13,
+                                           atol=1e-13 * np.abs(p_ref).max())
+        # The chain exercises the cold start, the warm starts and the bound.
+        assert 50 in counts and min(counts) < 50 and max(counts) > 50
+
+    def test_singular_gain_matrix_raises_linalg_error(self):
+        # The controller's fail-safe catches LinAlgError from the solve.
+        with pytest.raises(np.linalg.LinAlgError):
+            dare_step(np.eye(2), np.eye(2), np.zeros((2, 1)), np.eye(2),
+                      np.zeros((1, 1)))
+
     def test_zero_transition_returns_q(self):
         q = np.diag([1.0, 2.0, 3.0])
         out = dare_step(np.eye(3), np.zeros((3, 3)), np.ones((3, 1)), q,
@@ -445,6 +500,55 @@ class TestController:
         angles = 2.0 * np.pi * np.arange(1, 53) / 52.0
         np.testing.assert_allclose(basis_rows(angles, 2), basis.phi,
                                    atol=1e-12)
+
+
+class TestFloatStep:
+    """SprcController.step on floats against the numpy control_sample."""
+
+    @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
+    def test_command_matches_control_sample(self, harmonics):
+        # Five identification rotations, then feedback: theta is swapped
+        # at every boundary (new excitation, reset to rest, synthesis).
+        # Samples 700-709 carry NaN loads. One controller reads tuples,
+        # its twin the same loads as arrays.
+        cfg = SprcConfig(ident_duration_s=1.3)
+        per_rev = 52
+        ctrls = [SprcController(cfg, per_rev, harmonics=harmonics)
+                 for _ in range(2)]
+        rng = np.random.default_rng(3)
+        n = 20 * per_rev + 7
+        azimuth = (2.0 * np.pi * (np.arange(n) + 0.5) / per_rev) % (
+            2.0 * np.pi)
+        loads = rng.standard_normal((n, 2))
+        loads[700:710] = np.nan
+        swaps = 0
+        for k in range(n):
+            before = ctrls[0].theta
+            u = ctrls[0].step(tuple(loads[k].tolist()), azimuth[k], 24.0)
+            twin = ctrls[1].step(loads[k], azimuth[k], 24.0)
+            swaps += ctrls[0].theta is not before
+            np.testing.assert_array_equal(u, twin)
+            np.testing.assert_allclose(
+                u, control_sample(ctrls[0].theta, azimuth[k], 2, harmonics),
+                rtol=0.0, atol=1e-14)
+        # Every boundary swaps theta but the two the NaN loads fault,
+        # which hold it; the last rotations synthesize again.
+        telemetry = ctrls[0].telemetry
+        faults = sum(tel.fault for tel in telemetry)
+        assert (len(telemetry), faults, swaps) == (20, 2, 18)
+        assert np.isfinite(telemetry[-1].gain_norm)
+
+    def test_returned_array_is_fresh(self):
+        cfg = SprcConfig(ident_duration_s=0.5)
+        ctrl, twin = (SprcController(cfg, 52.0) for _ in range(2))
+        rng = np.random.default_rng(4)
+        for k in range(12 * 52):
+            psi = 2.0 * np.pi * (k % 52) / 52.0
+            y = rng.standard_normal(2)
+            u = ctrl.step(y, psi, 24.0)
+            np.testing.assert_array_equal(u, twin.step(y, psi, 24.0))
+            u[:] = 1e6
+        np.testing.assert_array_equal(ctrl.theta, twin.theta)
 
 
 def _kron_ybar_reference(angles, loads, harmonics):
