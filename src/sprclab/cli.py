@@ -93,12 +93,13 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
 
 def _cmd_psd(args: argparse.Namespace) -> None:
-    data = np.genfromtxt(args.series, delimiter=",", names=True)
-    column = args.column
-    if column not in (data.dtype.names or ()):
-        raise ValueError(f"column {column!r} not found in {args.series}")
-    freqs, power = welch_psd(data[column], args.rate,
-                             segment_length=args.segment)
+    with open(args.series) as fh:
+        names = [name.strip() for name in fh.readline().split(",")]
+    if args.column not in names:
+        raise ValueError(f"column {args.column!r} not found in {args.series}")
+    series = np.loadtxt(args.series, delimiter=",", skiprows=1,
+                        usecols=names.index(args.column), ndmin=1)
+    freqs, power = welch_psd(series, args.rate, segment_length=args.segment)
     np.savetxt(sys.stdout, np.column_stack([freqs, power]), fmt="%.6g",
                delimiter=",", header="frequency_hz,power", comments="")
 

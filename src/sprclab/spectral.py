@@ -3,24 +3,31 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """Averaged Hann-windowed periodogram with half-overlapping segments.
 
-    Density scaling keeps the estimate Parseval-consistent: integrating
-    the returned power over frequency recovers the signal variance.
+    Each segment has its mean removed and a periodic Hann window applied;
+    a trailing part shorter than the step is dropped. Density scaling
+    keeps the estimate Parseval-consistent: integrating the returned
+    one-sided power over frequency recovers the signal variance.
     """
     series = np.asarray(series, dtype=float)
-    if segment_length is None:
-        segment_length = min(len(series), 4096)
-    if segment_length > len(series) or segment_length < 8:
+    n = min(len(series), 4096) if segment_length is None else segment_length
+    if n > len(series) or n < 8:
         raise ValueError("invalid segment length for series")
-    return signal.welch(series, fs=rate, window="hann", nperseg=segment_length,
-                        noverlap=segment_length // 2, detrend="constant",
-                        scaling="density")
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    segments = sliding_window_view(series, n)[::n - n // 2]
+    spectra = np.fft.rfft(
+        window * (segments - segments.mean(axis=1, keepdims=True)))
+    power = (spectra.real ** 2 + spectra.imag ** 2) * (
+        1.0 / (rate * (window @ window)))
+    # One-sided: DC and, for even n, the Nyquist bin have no negative twin.
+    power[:, 1:(n + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(n, 1.0 / rate), power.mean(axis=0)
 
 
 def band_power(freqs: np.ndarray, power: np.ndarray, f_low: float,

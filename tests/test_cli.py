@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sprclab
 from sprclab import windfield
 from sprclab.cli import main
 from sprclab.spectral import welch_psd
@@ -177,3 +182,19 @@ def test_psd_missing_column_is_config_error(tmp_path, capsys):
     rc = main(["psd", str(csv_path), "--column", "nope", "--rate", "200",
                "--segment", "8"])
     assert rc == 1
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.signal would pull in scipy.stats, .interpolate and .optimize,
+    # about twice the modules and resident memory of the whole program.
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
+             "scipy.optimize"]
+    code = ("import sys, sprclab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    # The fresh interpreter imports the same sprclab as this one.
+    src = str(Path(sprclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sprclab import harness
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, SeedMismatchError,
@@ -197,6 +199,44 @@ class TestWelchPsd:
         low = band_power(freqs, power, 1.0, 40.0) / 39.0
         high = band_power(freqs, power, 50.0, 89.0) / 39.0
         assert low / high == pytest.approx(1.0, abs=0.1)
+
+    @staticmethod
+    def assert_matches_scipy(series, segment_length=None):
+        from scipy import signal
+        n = min(len(series), 4096) if segment_length is None else segment_length
+        want_f, want_p = signal.welch(series, 200.0, window="hann", nperseg=n,
+                                      noverlap=n // 2, detrend="constant",
+                                      scaling="density")
+        freqs, power = welch_psd(series, 200.0, segment_length=segment_length)
+        assert np.array_equal(freqs, want_f)
+        assert power.shape == want_p.shape
+        assert np.max(np.abs(power - want_p)) <= 1e-12 * np.max(want_p)
+
+    @pytest.mark.parametrize("length, segment_length", [
+        (4000, None),   # one segment at the default length
+        (24001, 4096),  # several segments, tail shorter than a step dropped
+        (1000, 33),     # odd length: no unpaired Nyquist bin
+        (500, 8),       # the shortest segment accepted
+    ])
+    def test_matches_scipy_welch(self, length, segment_length):
+        rng = np.random.default_rng(length)
+        self.assert_matches_scipy(3.0 + 2.0 * rng.standard_normal(length),
+                                  segment_length)
+
+    def test_constant_series_has_zero_power(self):
+        series = np.full(3000, 2.5)
+        self.assert_matches_scipy(series, 256)
+        assert not welch_psd(series, 200.0, 256)[1].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 5000).flatmap(
+        lambda length: st.tuples(st.just(length), st.integers(8, length))),
+        st.integers(0, 2**32 - 1))
+    def test_matches_scipy_welch_property(self, sizes, seed):
+        length, segment_length = sizes
+        rng = np.random.default_rng(seed)
+        self.assert_matches_scipy(
+            rng.normal(rng.uniform(-5.0, 5.0), 1.0, length), segment_length)
 
     def test_sprc_reduces_1p_2p_band_power(self):
         base = ExperimentConfig(mode="static0", duration=60.0,
