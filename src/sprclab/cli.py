@@ -21,19 +21,15 @@ from .sysid import NumericError
 
 def _load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_json(path) if path else ExperimentConfig()
-    updates = {}
-    for attr in ("mode", "controller"):
-        value = getattr(overrides, attr, None)
-        if value is not None:
-            updates[attr] = value
-    if getattr(overrides, "mean_wind", None) is not None:
-        updates["mean_wind"] = overrides.mean_wind
-    if getattr(overrides, "duration", None) is not None:
-        updates["duration"] = overrides.duration
-        if config.eval_start_s >= overrides.duration:
-            # Keep the metric window valid for short runs.
-            updates["eval_start_s"] = overrides.duration / 4.0
-    if getattr(overrides, "seed", None) is not None:
+    updates = {key: value for key, value in (
+        ("mode", overrides.mode), ("controller", overrides.controller),
+        ("mean_wind", overrides.mean_wind), ("duration", overrides.duration))
+        if value is not None}
+    if overrides.duration is not None and (
+            config.eval_start_s >= overrides.duration):
+        # Keep the metric window valid for short runs.
+        updates["eval_start_s"] = overrides.duration / 4.0
+    if overrides.seed is not None:
         updates["seeds"] = Seeds(wind=overrides.seed, noise=overrides.seed + 1,
                                  excitation=overrides.seed + 2)
     if updates:

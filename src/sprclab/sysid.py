@@ -2,10 +2,11 @@
 
 The period-P difference operator annihilates the periodic disturbance, so
 the remaining input/output behavior is captured by the Markov parameter
-matrix [C At^{p-1}B ... CB | C At^{p-1}K ... CK]. The recursive solver
-keeps a square-root (QR) information factor and folds a block of rows into
-it per triangular-pentagonal QR update; a batch least-squares solver serves
-as its oracle.
+matrix [C At^{p-1}B ... CB | C At^{p-1}K ... CK]. Data enter one way: a
+block of samples goes through `DeltaBuffer.extend`, and the rows it
+returns go to `MarkovEstimate.fold`, which keeps a square-root (QR)
+information factor and folds the block in with one triangular-pentagonal
+QR update. A batch least-squares solver serves as its oracle.
 """
 
 from __future__ import annotations
@@ -15,12 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack, solve_triangular
 
 
-class NotReadyError(RuntimeError):
-    """Raised when the delta buffer has not seen P + p samples yet."""
-
-
 class NumericError(ArithmeticError):
-    """Raised on non-finite data entering the estimator."""
+    """Raised when identification or synthesis yields non-finite numbers."""
 
 
 class DeltaBuffer:
@@ -32,9 +29,7 @@ class DeltaBuffer:
     product with the Markov matrix predicts dy_k, and the target dy_k. The
     buffer keeps only the last P + p raw samples, which the next block's
     deltas and windows reach back to; before the first P + p samples they
-    are zero, and no returned row reads them. `push` is the one-sample
-    case. `regressor()` and `delta_y()` return the row of the most recent
-    sample.
+    are zero, and no returned row reads them.
     """
 
     def __init__(self, period: int, past_window: int, n_inputs: int,
@@ -46,12 +41,6 @@ class DeltaBuffer:
         self.n_inputs = n_inputs
         self._raw = np.zeros((period + past_window, n_inputs + n_outputs))
         self._count = 0
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def ready(self) -> bool:
-        """True once the current sample index k satisfies k >= P + p."""
-        return self._count >= self.period + self.past_window + 1
 
     def extend(self, u: np.ndarray, y: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,27 +60,7 @@ class DeltaBuffer:
         first = max(0, P + p - self._count)
         self._raw = raw[m:]
         self._count += m
-        self._last = (regressors[first:], windows[first:, p, r:])
-        return self._last
-
-    def push(self, u: np.ndarray, y: np.ndarray) -> None:
-        self.extend(np.atleast_2d(u), np.atleast_2d(y))
-
-    def delta_y(self) -> np.ndarray:
-        """dy_k = y_k - y_{k-P} for the most recent sample k."""
-        self._require_ready()
-        return self._last[1][-1]
-
-    def regressor(self) -> np.ndarray:
-        """Stacked delta window aligned to predict dy_k."""
-        self._require_ready()
-        return self._last[0][-1]
-
-    def _require_ready(self) -> None:
-        if not self.ready:
-            raise NotReadyError(
-                f"need at least P + p + 1 = {self.period + self.past_window + 1}"
-                f" samples, have {self._count}")
+        return regressors[first:], windows[first:, p, r:]
 
 
 class MarkovEstimate:
@@ -103,12 +72,11 @@ class MarkovEstimate:
     estimate solves R xi' = rhs. The l x l residual block S never reaches
     the top rows, so it does not affect the estimate. `fold` takes a block
     of rows in one QR update, which is algebraically identical to
-    one-row-at-a-time updates; `update` queues single rows and folds every
-    `flush_every` of them as one block.
+    one-row-at-a-time updates.
     """
 
     def __init__(self, n_inputs: int, n_outputs: int, past_window: int,
-                 forgetting: float = 0.99999, flush_every: int = 64):
+                 forgetting: float = 0.99999):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
         self.n_outputs = n_outputs
@@ -117,26 +85,12 @@ class MarkovEstimate:
         # Ridge prior 1e-6 I on the regressor block; rhs and S start at 0.
         self._factor = np.zeros((self.dim + n_outputs,) * 2)
         self._factor[:self.dim, :self.dim] = np.sqrt(1e-6) * np.eye(self.dim)
-        self._pending_z: list[np.ndarray] = []
-        self._pending_t: list[np.ndarray] = []
-        self._flush_every = flush_every
-
-    def update(self, regressor: np.ndarray, target: np.ndarray) -> None:
-        regressor = np.asarray(regressor, dtype=float)
-        target = np.asarray(target, dtype=float)
-        if regressor.shape != (self.dim,) or target.shape != (self.n_outputs,):
-            raise ValueError("regressor/target dimensions do not match")
-        if not (np.all(np.isfinite(regressor)) and np.all(np.isfinite(target))):
-            raise NumericError("non-finite regressor or target")
-        self._pending_z.append(regressor)
-        self._pending_t.append(target)
-        if len(self._pending_z) >= self._flush_every:
-            self._flush()
 
     def fold(self, regressors: np.ndarray, targets: np.ndarray) -> int:
         """Fold a block of rows in, oldest first; returns how many it refused.
 
-        A row with a non-finite entry is dropped, as `update` refuses it.
+        A row with a non-finite entry is refused: it is dropped, and the
+        other rows are folded as if it had never been there.
         """
         regressors = np.asarray(regressors, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -148,16 +102,8 @@ class MarkovEstimate:
         refused = len(keep) - int(np.count_nonzero(keep))
         if refused:
             regressors, targets = regressors[keep], targets[keep]
-        self._flush()
         self._qr_update(regressors, targets)
         return refused
-
-    def _flush(self) -> None:
-        if self._pending_z:
-            self._qr_update(np.array(self._pending_z),
-                            np.array(self._pending_t))
-            self._pending_z.clear()
-            self._pending_t.clear()
 
     def _qr_update(self, regressors: np.ndarray, targets: np.ndarray) -> None:
         m = len(regressors)
@@ -180,7 +126,6 @@ class MarkovEstimate:
     @property
     def estimate(self) -> np.ndarray:
         """Current Markov matrix estimate, shape l x ((r+l) p)."""
-        self._flush()
         top = self._factor[:self.dim]
         xi_t = solve_triangular(top[:, :self.dim], top[:, self.dim:])
         if not np.all(np.isfinite(xi_t)):

@@ -150,6 +150,9 @@ def generate(mode: GridMode, mean: float, duration: float, rate: float,
         raise ValueError("mean wind speed must be positive")
 
     n = int(round(duration * rate))
+    if n < 2:
+        raise ValueError(f"duration {duration:g} s holds fewer than two "
+                         f"samples at {rate:g} Hz")
     mode_tag = list(GridMode).index(mode)
     rng = np.random.default_rng(np.random.SeedSequence([seed, mode_tag]))
 

@@ -50,12 +50,10 @@ def test_criterion_01_identification_consistency():
     e = 0.01 * clean.std() * rng.standard_normal(clean.shape)
     y = simulate_lti(model, u, d, e)
 
-    buf = DeltaBuffer(P, p, model.r, model.l)
+    z, t = DeltaBuffer(P, p, model.r, model.l).extend(u, y)
     est = MarkovEstimate(model.r, model.l, p)
-    for uk, yk in zip(u, y):
-        buf.push(uk, yk)
-        if buf.ready:
-            est.update(buf.regressor(), buf.delta_y())
+    for a in range(0, len(z), 64):
+        est.fold(z[a:a + 64], t[a:a + 64])
     xi_true = model.markov_parameters(p)
     err = np.linalg.norm(est.estimate - xi_true) / np.linalg.norm(xi_true)
     elapsed = time.perf_counter() - started
@@ -72,8 +70,8 @@ def test_criterion_02_rls_batch_equivalence():
     z = rng.standard_normal((5000, dim))
     t = rng.standard_normal((5000, l))
     est = MarkovEstimate(r, l, p, forgetting=1.0)
-    for zi, ti in zip(z, t):
-        est.update(zi, ti)
+    for a in range(0, len(z), 64):
+        est.fold(z[a:a + 64], t[a:a + 64])
     batch = batch_solve(z, t, forgetting=1.0)
     gap = np.linalg.norm(est.estimate - batch)
     bound = 1e-8 * (1.0 + np.linalg.norm(batch))

@@ -128,6 +128,13 @@ def test_exported_config_reruns_identically(tmp_path, capsys):
 def test_invalid_duration_exit_code(tmp_path, capsys):
     rc = main(["run", "--duration", "-5", "--output", str(tmp_path)])
     assert rc == 1
+    # 0.001 s is less than one sample at 200 Hz: a config error that names
+    # the duration, for a run and for a bare wind series alike.
+    for command in ("run", "windgen"):
+        capsys.readouterr()
+        rc = main([command, "--duration", "0.001", "--output", str(tmp_path)])
+        assert rc == 1
+        assert "duration 0.001 s" in capsys.readouterr().err
 
 
 def test_psd_subcommand(tmp_path, capsys):

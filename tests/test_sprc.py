@@ -16,8 +16,7 @@ from sprclab.sprc import (BasisMatrix, SprcConfig, SprcController,
                           assemble_predictor, basis_rows, build_basis,
                           control_sample, dare_step, feedback_gain,
                           project_predictor, solve_dare, update_theta)
-from sprclab.sysid import (DeltaBuffer, MarkovEstimate, NumericError,
-                           batch_solve, choose_past_window)
+from sprclab.sysid import batch_solve, choose_past_window
 
 
 class TestBasis:
@@ -591,13 +590,15 @@ class TestRotationFold:
     @pytest.mark.parametrize("per_rev", [39, 81])
     def test_estimate_matches_batch_of_row_by_row_regressors(self, per_rev):
         # Rotations shorter and longer than P = 46, with a NaN and an inf
-        # burst in the loads. Oracle: the rows a DeltaBuffer yields sample
-        # by sample, less those MarkovEstimate.update refuses, solved by
-        # batch_solve. A dropped row that update accepts, or the reverse,
-        # moves the estimate far past the bound.
+        # burst in the loads. Oracle: the delta rows of the whole recorded
+        # u/y history, less those with a non-finite entry, solved by
+        # batch_solve; a rotation is faulted iff it holds such a row. A
+        # dropped finite row, or a kept non-finite one, moves the estimate
+        # far past the bound.
         cfg = SprcConfig(ident_duration_s=1e9, excitation_amplitude_deg=10.0)
         ctrl = SprcController(cfg, 52.0)
-        assert ctrl.period == 46
+        P, p = ctrl.period, cfg.past_window
+        assert P == 46
         rng = np.random.default_rng(per_rev)
         n = 60 * per_rev + per_rev // 2
         y = rng.standard_normal((n, 2))
@@ -608,20 +609,16 @@ class TestRotationFold:
 
         # Only rotations that ended are folded in.
         folded = (n // per_rev) * per_rev
-        buf = DeltaBuffer(ctrl.period, cfg.past_window, 2, 2)
-        row_api = MarkovEstimate(2, 2, cfg.past_window)
+        du, dy = u[P:] - u[:-P], y[P:] - y[:-P]  # row j is sample j + P
         z, t, refused = [], [], set()
-        for k in range(folded):
-            buf.push(u[k], y[k])
-            if not buf.ready:
-                continue
-            try:
-                row_api.update(buf.regressor(), buf.delta_y())
-            except NumericError:
+        for k in range(P + p, folded):
+            past = slice(k - P - p, k - P)
+            row = np.concatenate((du[past].ravel(), dy[past].ravel()))
+            if not (np.isfinite(row).all() and np.isfinite(dy[k - P]).all()):
                 refused.add(k // per_rev)
                 continue
-            z.append(buf.regressor())
-            t.append(buf.delta_y())
+            z.append(row)
+            t.append(dy[k - P])
         assert refused
         assert [tel.fault for tel in ctrl.telemetry] == [
             i in refused for i in range(n // per_rev)]
@@ -631,24 +628,32 @@ class TestRotationFold:
 
 
 class TestOperatingEnvelope:
-    # Static45, seeds 0-2, reduction over 80-120 s: a wind step at 40 s
-    # landed within 0.7 pp of a steady run at the destination speed, for
-    # 4 -> 5, 5 -> 4 and 5 -> 6 m/s (P = 72, 46, 46 against about 53, 81
-    # and 39 samples per rotation after the step).
-    @pytest.mark.parametrize("start, end", [(4.0, 5.0), (5.0, 4.0),
-                                            (5.0, 6.0)])
-    def test_wind_step_reaches_steady_reduction(self, start, end):
+    # Static45, seeds 0-2, reduction over 80-120 s: a set-point step at
+    # 40 s landed within 0.7 pp of a steady run at the destination, for
+    # wind steps 4 -> 5, 5 -> 4 and 5 -> 6 m/s (P = 72, 46, 46 against
+    # about 53, 81 and 39 samples per rotation after the step), and within
+    # 0.12 pp for collective steps 2 -> 10, 2 -> 0 and 10 -> 2 deg at
+    # 5 m/s.
+    FIELDS = {"wind_mean": "mean_wind",
+              "collective_pitch": "collective_pitch_deg"}
+
+    @pytest.mark.parametrize("kind, start, end", [
+        ("wind_mean", 4.0, 5.0), ("wind_mean", 5.0, 4.0),
+        ("wind_mean", 5.0, 6.0), ("collective_pitch", 2.0, 10.0),
+        ("collective_pitch", 2.0, 0.0), ("collective_pitch", 10.0, 2.0)])
+    def test_setpoint_step_reaches_steady_reduction(self, kind, start, end):
         seeds = Seeds(wind=0, noise=100, excitation=200)
 
-        def reduction(mean_wind, events=()):
-            base = ExperimentConfig(mode="static45", mean_wind=mean_wind,
-                                    duration=120.0, eval_start_s=80.0,
-                                    seeds=seeds, events=events)
+        def reduction(setpoint, events=()):
+            base = ExperimentConfig(mode="static45", duration=120.0,
+                                    eval_start_s=80.0, seeds=seeds,
+                                    events=events,
+                                    **{self.FIELDS[kind]: setpoint})
             controlled = replace(base, controller="sprc-1p2p")
             return variance_reduction(run_experiment(base),
                                       run_experiment(controlled))["pooled"]
 
-        stepped = reduction(start, (ScenarioEvent(40.0, "wind_mean", end),))
+        stepped = reduction(start, (ScenarioEvent(40.0, kind, end),))
         assert abs(stepped - reduction(end)) < 2.0
 
 

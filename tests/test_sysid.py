@@ -7,89 +7,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sprclab.plant import make_benchmark_plant, simulate_lti
-from sprclab.sysid import (DeltaBuffer, MarkovEstimate, NotReadyError,
-                           NumericError, batch_solve, choose_past_window,
-                           persistency_metric)
+from sprclab.sysid import (DeltaBuffer, MarkovEstimate, batch_solve,
+                           choose_past_window, persistency_metric)
 
 
 class TestDeltaBuffer:
     def test_periodic_signals_annihilated(self):
         P, p = 12, 3
-        buf = DeltaBuffer(P, p, 1, 1)
-        for k in range(4 * P):
-            phase = 2 * np.pi * k / P
-            buf.push(np.array([np.sin(phase)]), np.array([np.cos(phase)]))
-        np.testing.assert_allclose(buf.regressor(), 0.0, atol=1e-12)
-        np.testing.assert_allclose(buf.delta_y(), 0.0, atol=1e-12)
+        phase = 2 * np.pi * np.arange(4 * P)[:, None] / P
+        z, t = DeltaBuffer(P, p, 1, 1).extend(np.sin(phase), np.cos(phase))
+        np.testing.assert_allclose(z, 0.0, atol=1e-12)
+        np.testing.assert_allclose(t, 0.0, atol=1e-12)
 
     def test_scalar_single_lag_unrolled(self):
         P, p = 5, 1
-        buf = DeltaBuffer(P, p, 1, 1)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(20)
         y = rng.standard_normal(20)
-        for uk, yk in zip(u, y):
-            buf.push(np.array([uk]), np.array([yk]))
+        z, _ = DeltaBuffer(P, p, 1, 1).extend(u[:, None], y[:, None])
         k = 19
         expected = [u[k - 1] - u[k - 1 - P], y[k - 1] - y[k - 1 - P]]
-        np.testing.assert_allclose(buf.regressor(), expected, atol=1e-15)
+        np.testing.assert_allclose(z[-1], expected, atol=1e-15)
 
     def test_regressor_length(self):
-        buf = DeltaBuffer(10, 4, 2, 3)
-        for _ in range(15):
-            buf.push(np.zeros(2), np.zeros(3))
-        assert buf.regressor().shape == ((2 + 3) * 4,)
+        z, t = DeltaBuffer(10, 4, 2, 3).extend(np.zeros((15, 2)),
+                                               np.zeros((15, 3)))
+        assert z.shape == (1, (2 + 3) * 4)
+        assert t.shape == (1, 3)
 
     def test_not_ready_raises(self):
+        # Before k = P + p no delta window is complete: extend returns no
+        # row and no target, correctly shaped, until the sample that is.
         buf = DeltaBuffer(10, 4, 1, 1)
         for _ in range(14):  # one short of P + p + 1
-            buf.push(np.zeros(1), np.zeros(1))
-            with pytest.raises(NotReadyError):
-                buf.regressor()
-        buf.push(np.zeros(1), np.zeros(1))
-        buf.regressor()
-
-    @settings(max_examples=60, deadline=None)
-    @given(P=st.integers(1, 30), p=st.integers(1, 12), r=st.integers(1, 3),
-           l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_window_matches_definition_from_full_history(self, P, p, r, l,
-                                                         seed):
-        # Oracle: the deltas recomputed from the whole u/y history, checked
-        # after every sample through at least three wraps of the raw ring
-        # (P rows) and of the delta ring (p + 1 rows).
-        steps = 4 * (P + p + 1)
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal((steps, r))
-        y = rng.standard_normal((steps, l))
-        buf = DeltaBuffer(P, p, r, l)
-        for k in range(steps):
-            buf.push(u[k], y[k])
-            assert buf.ready == (k >= P + p)
-            if not buf.ready:
-                continue
-            past = range(k - p, k)
-            expected = np.concatenate([u[j] - u[j - P] for j in past]
-                                      + [y[j] - y[j - P] for j in past])
-            np.testing.assert_array_equal(buf.regressor(), expected)
-            np.testing.assert_array_equal(buf.delta_y(), y[k] - y[k - P])
+            z, t = buf.extend(np.zeros((1, 1)), np.zeros((1, 1)))
+            assert z.shape == (0, 8)
+            assert t.shape == (0, 1)
+        z, t = buf.extend(np.zeros((1, 1)), np.zeros((1, 1)))
+        assert z.shape == (1, 8)
+        assert t.shape == (1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(P=st.integers(1, 30), p=st.integers(1, 12), r=st.integers(1, 3),
            l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_blocks_yield_the_rows_of_single_pushes(self, P, p, r, l, seed):
         # extend over blocks of random length returns, in order, exactly
-        # the rows that single pushes make ready, bitwise.
+        # the rows that one-sample extends make ready, bitwise.
         steps = 4 * (P + p + 1)
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((steps, r))
         y = rng.standard_normal((steps, l))
         single = DeltaBuffer(P, p, r, l)
-        z, t = [], []
-        for k in range(steps):
-            single.push(u[k], y[k])
-            if single.ready:
-                z.append(single.regressor())
-                t.append(single.delta_y())
+        rows = [single.extend(u[k:k + 1], y[k:k + 1]) for k in range(steps)]
+        z = np.vstack([zs for zs, _ in rows])
+        t = np.vstack([ts for _, ts in rows])
         cuts = np.sort(rng.choice(np.arange(1, steps), rng.integers(0, 12),
                                   replace=False))
         block = DeltaBuffer(P, p, r, l)
@@ -97,16 +68,45 @@ class TestDeltaBuffer:
                 for a, b in zip([0, *cuts], [*cuts, steps])]
         np.testing.assert_array_equal(np.vstack([zb for zb, _ in rows]), z)
         np.testing.assert_array_equal(np.vstack([tb for _, tb in rows]), t)
-        np.testing.assert_array_equal(block.regressor(), z[-1])
+        assert len(z) == steps - (P + p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 30), p=st.integers(1, 12), r=st.integers(1, 3),
+           l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_window_matches_definition_from_full_history(self, P, p, r, l,
+                                                         seed):
+        # Oracle: the deltas recomputed from the whole u/y history. The
+        # samples go in as blocks of random length, about half of them a
+        # single sample, through at least three wraps of the P + p raw
+        # samples the buffer keeps. Each block must return, bitwise and
+        # oldest first, the rows of its samples with k >= P + p.
+        steps = 4 * (P + p + 1)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((steps, r))
+        y = rng.standard_normal((steps, l))
+        buf = DeltaBuffer(P, p, r, l)
+        a = 0
+        while a < steps:
+            m = 1 if rng.random() < 0.5 else int(rng.integers(2, P + p + 2))
+            b = min(steps, a + m)
+            z, t = buf.extend(u[a:b], y[a:b])
+            ready = range(max(a, P + p), b)
+            assert len(z) == len(t) == len(ready)
+            for row, target, k in zip(z, t, ready):
+                past = range(k - p, k)
+                expected = np.concatenate([u[j] - u[j - P] for j in past]
+                                          + [y[j] - y[j - P] for j in past])
+                np.testing.assert_array_equal(row, expected)
+                np.testing.assert_array_equal(target, y[k] - y[k - P])
+            a = b
 
     def test_delta_y_is_not_overwritten_by_later_pushes(self):
         buf = DeltaBuffer(3, 1, 1, 1)
-        for k in range(5):
-            buf.push(np.array([0.0]), np.array([float(k * k)]))
-        dy = buf.delta_y()
-        for k in range(5, 12):
-            buf.push(np.array([0.0]), np.array([float(k * k)]))
-        np.testing.assert_array_equal(dy, [16.0 - 1.0])
+        k = np.arange(12.0)[:, None]
+        _, dy = buf.extend(np.zeros((5, 1)), k[:5] ** 2)
+        for j in range(5, 12):
+            buf.extend(np.zeros((1, 1)), k[j:j + 1] ** 2)
+        np.testing.assert_array_equal(dy, [[16.0 - 1.0]])
 
 
 def _random_rows(dim, outputs, count, seed):
@@ -123,8 +123,7 @@ class TestMarkovEstimate:
         dim = (r + l) * p
         xi_true, z, t = _random_rows(dim, l, dim * 10, seed=1)
         est = MarkovEstimate(r, l, p, forgetting=1.0)
-        for zi, ti in zip(z, t):
-            est.update(zi, ti)
+        est.fold(z, t)
         err = np.linalg.norm(est.estimate - xi_true) / np.linalg.norm(xi_true)
         assert err < 1e-6
 
@@ -135,32 +134,12 @@ class TestMarkovEstimate:
         z = rng.standard_normal((400, dim))
         t = rng.standard_normal((400, l))  # noisy, no exact solution
         est = MarkovEstimate(r, l, p, forgetting=1.0)
-        for zi, ti in zip(z, t):
-            est.update(zi, ti)
+        est.fold(z, t)
         batch = batch_solve(z, t, forgetting=1.0)
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
-    def test_flush_does_not_use_numpy_qr(self, monkeypatch):
-        # The flush factorizes with scipy's LAPACK, on the same OpenBLAS
-        # pool as the triangular solves; numpy bundles a second pool.
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg.qr called")
-
-        monkeypatch.setattr(np.linalg, "qr", refuse)
-        r, l, p = 2, 2, 3
-        dim = (r + l) * p
-        rng = np.random.default_rng(11)
-        z = rng.standard_normal((150, dim))
-        t = rng.standard_normal((150, l))
-        est = MarkovEstimate(r, l, p, forgetting=1.0, flush_every=64)
-        for zi, ti in zip(z, t):
-            est.update(zi, ti)
-        batch = batch_solve(z, t, forgetting=1.0)
-        gap = np.linalg.norm(est.estimate - batch)
-        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
-
-    def test_fold_drops_the_rows_update_refuses(self):
+    def test_fold_drops_the_nonfinite_rows(self):
         r, l, p = 2, 2, 3
         dim = (r + l) * p
         rng = np.random.default_rng(13)
@@ -168,24 +147,15 @@ class TestMarkovEstimate:
         t = rng.standard_normal((300, l))
         z[5, 0] = z[77, dim - 1] = np.nan
         t[150, 1] = -np.inf
-        rows = MarkovEstimate(r, l, p, forgetting=1.0)
-        refused = []
-        for i, (zi, ti) in enumerate(zip(z, t)):
-            try:
-                rows.update(zi, ti)
-            except NumericError:
-                refused.append(i)
-        assert refused == [5, 77, 150]
-        blocks = MarkovEstimate(r, l, p, forgetting=1.0)
-        dropped = [blocks.fold(z[a:b], t[a:b])
+        est = MarkovEstimate(r, l, p, forgetting=1.0)
+        dropped = [est.fold(z[a:b], t[a:b])
                    for a, b in ((0, 100), (100, 250), (250, 300))]
         assert dropped == [2, 1, 0]
         keep = np.ones(300, dtype=bool)
-        keep[refused] = False
+        keep[[5, 77, 150]] = False
         batch = batch_solve(z[keep], t[keep], forgetting=1.0)
-        for est in (rows, blocks):
-            gap = np.linalg.norm(est.estimate - batch)
-            assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+        gap = np.linalg.norm(est.estimate - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
     # Block sizes include single rows; (1, 1, 2) has dim + l = 5, below
     # the fold's block size of 8.
@@ -253,28 +223,19 @@ class TestMarkovEstimate:
 
     def test_zero_regressors_leave_estimate_at_init(self):
         est = MarkovEstimate(1, 1, 2)
-        for _ in range(100):
-            est.update(np.zeros(4), np.array([3.0]))
+        est.fold(np.zeros((100, 4)), np.full((100, 1), 3.0))
         np.testing.assert_array_equal(est.estimate, np.zeros((1, 4)))
 
-    def test_nonfinite_input_raises(self):
-        est = MarkovEstimate(1, 1, 1)
-        with pytest.raises(NumericError):
-            est.update(np.array([np.nan, 0.0]), np.array([0.0]))
-        with pytest.raises(NumericError):
-            est.update(np.array([0.0, 0.0]), np.array([np.inf]))
-
-    def test_flush_boundary_invariance(self):
-        # Blockwise QR folding must match one-row-at-a-time updates.
+    def test_single_row_folds_match_one_block_fold(self):
         r, l, p = 1, 1, 3
         dim = (r + l) * p
         _, z, t = _random_rows(dim, l, 97, seed=9)
-        a = MarkovEstimate(r, l, p, forgetting=0.999, flush_every=1)
-        b = MarkovEstimate(r, l, p, forgetting=0.999, flush_every=64)
-        for zi, ti in zip(z, t):
-            a.update(zi, ti)
-            b.update(zi, ti)
-        np.testing.assert_allclose(a.estimate, b.estimate, atol=1e-10)
+        rows = MarkovEstimate(r, l, p, forgetting=0.999)
+        for i in range(len(z)):
+            rows.fold(z[i:i + 1], t[i:i + 1])
+        block = MarkovEstimate(r, l, p, forgetting=0.999)
+        block.fold(z, t)
+        np.testing.assert_allclose(rows.estimate, block.estimate, atol=1e-10)
 
     def test_forgetting_tracks_plant_switch(self):
         r, l, p = 1, 1, 2
@@ -283,12 +244,9 @@ class TestMarkovEstimate:
         xi_old = rng.standard_normal((l, dim))
         xi_new = rng.standard_normal((l, dim))
         est = MarkovEstimate(r, l, p, forgetting=0.98)
-        for _ in range(600):
-            z = rng.standard_normal(dim)
-            est.update(z, xi_old @ z)
-        for _ in range(600):
-            z = rng.standard_normal(dim)
-            est.update(z, xi_new @ z)
+        for xi in (xi_old, xi_new):
+            z = rng.standard_normal((600, dim))
+            est.fold(z, z @ xi.T)
         err = np.linalg.norm(est.estimate - xi_new) / np.linalg.norm(xi_new)
         assert err < 1e-3
 
@@ -341,12 +299,10 @@ class TestPlantIdentification:
         e = 0.01 * y.std() * rng.standard_normal(y.shape)
         y = simulate_lti(model, u, d, e)
 
-        buf = DeltaBuffer(P, p, model.r, model.l)
+        z, t = DeltaBuffer(P, p, model.r, model.l).extend(u, y)
         est = MarkovEstimate(model.r, model.l, p)
-        for uk, yk in zip(u, y):
-            buf.push(uk, yk)
-            if buf.ready:
-                est.update(buf.regressor(), buf.delta_y())
+        for a in range(0, len(z), 64):
+            est.fold(z[a:a + 64], t[a:a + 64])
         xi_true = model.markov_parameters(p)
         err = (np.linalg.norm(est.estimate - xi_true)
                / np.linalg.norm(xi_true))
