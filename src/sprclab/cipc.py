@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 def _blade_trig(azimuth: float) -> tuple[float, float, float, float]:
     """cos and sin of blade 1 at psi, then of blade 2 at psi + pi."""
@@ -35,7 +33,7 @@ def coleman_inverse(tilt_cmd: float, yaw_cmd: float,
     return tilt_cmd * c1 + yaw_cmd * s1, tilt_cmd * c2 + yaw_cmd * s2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CipcConfig:
     """PI and notch tuning; gains are fixed across all scenarios.
 
@@ -107,10 +105,10 @@ class CipcController:
         self.tilt = _Channel(self.config, ts)
         self.yaw = _Channel(self.config, ts)
 
-    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
+    def step(self, loads, azimuth: float, omega: float) -> tuple[float, float]:
         """One control sample; omega (rad/s) sets the 2P notch center.
 
-        `loads` is any pair of floats; the command is a fresh array. The
+        `loads` is any pair of floats, and so is the returned command. The
         step applies `coleman_forward` and `coleman_inverse` inline, so
         the blade angles' cos and sin are evaluated once.
         """
@@ -122,7 +120,4 @@ class CipcController:
         k = (1.0 - 2.0 * rho * c + rho * rho) / (2.0 - 2.0 * c)
         tilt = self.tilt.step(m1 * c1 + m2 * c2, c, k)
         yaw = self.yaw.step(m1 * s1 + m2 * s2, c, k)
-        u = np.empty(2)  # faster than np.array of a tuple
-        u[0] = tilt * c1 + yaw * s1
-        u[1] = tilt * c2 + yaw * s2
-        return u
+        return tilt * c1 + yaw * s1, tilt * c2 + yaw * s2

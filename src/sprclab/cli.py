@@ -32,10 +32,7 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentC
     if overrides.seed is not None:
         updates["seeds"] = Seeds(wind=overrides.seed, noise=overrides.seed + 1,
                                  excitation=overrides.seed + 2)
-    if updates:
-        config = replace(config, **updates)
-    config.validate()
-    return config
+    return replace(config, **updates)
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -150,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     psd.add_argument("series")
     psd.add_argument("--column", default="y1")
     psd.add_argument("--rate", type=float, default=200.0)
-    psd.add_argument("--segment", type=int, default=4096)
+    psd.add_argument("--segment", type=int)
     psd.set_defaults(func=_cmd_psd)
 
     windgen = sub.add_parser("windgen", help="generate a wind series")

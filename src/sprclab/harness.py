@@ -52,7 +52,7 @@ class ScenarioEvent:
             raise ValueError(f"kind: unknown event kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "static0"
     mean_wind: float = 5.0
@@ -66,7 +66,7 @@ class ExperimentConfig:
     sprc: SprcConfig = field(default_factory=SprcConfig)
     cipc: CipcConfig = field(default_factory=CipcConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller: must be one of {CONTROLLERS}")
         if self.duration <= 0.0:
@@ -90,9 +90,7 @@ class ExperimentConfig:
         version = data.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"schema_version: unsupported version {version}")
-        config = decode(cls, data)
-        config.validate()
-        return config
+        return decode(cls, data)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -152,8 +150,8 @@ class NullController:
     def __init__(self):
         self.telemetry: list = []
 
-    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
-        return np.zeros(N_BLADES)
+    def step(self, loads, azimuth: float, omega: float) -> tuple[float, float]:
+        return 0.0, 0.0
 
 
 def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
@@ -174,7 +172,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     loop (`plant.open_loop`); the loop closes it through the controller and
     the servo lag, in the summation order of `plant.turbine_step`.
     """
-    config.validate()
     params = config.plant
     ts = params.ts
     n = int(round(config.duration / ts))
@@ -202,7 +199,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     for k, (psi, omega, coll, (p1, p2), (w1, w2), (e1, e2)) in enumerate(
             float_rows(rotor.azimuth, rotor.omega, collective, rotor.periodic,
                        rotor.wind_term, rotor.noise)):
-        u1, u2 = controller.step(y, psi, omega).tolist()
+        u1, u2 = controller.step(y, psi, omega)
         servo1 = a * servo1 + (1.0 - a) * (coll + u1)
         servo2 = a * servo2 + (1.0 - a) * (coll + u2)
         y = (p1 + gain * (servo1 - coll) + w1 + e1,
@@ -224,20 +221,30 @@ def _basic_metrics(record: ExperimentRecord) -> dict:
     pitch = record.pitch[window]
     mean_omega = float(record.omega[window].mean())
     f_1p = mean_omega / (2.0 * np.pi)
-    freqs, psd1 = welch_psd(record.loads[window, 0], record.rate)
-    _, psd2 = welch_psd(record.loads[window, 1], record.rate)
+    try:
+        freqs, psd1 = welch_psd(record.loads[window, 0], record.rate)
+        _, psd2 = welch_psd(record.loads[window, 1], record.rate)
+        band_1p = [band_power(freqs, psd1, 0.85 * f_1p, 1.15 * f_1p),
+                   band_power(freqs, psd2, 0.85 * f_1p, 1.15 * f_1p)]
+        band_2p = [band_power(freqs, psd1, 1.7 * f_1p, 2.3 * f_1p),
+                   band_power(freqs, psd2, 1.7 * f_1p, 2.3 * f_1p)]
+    except ValueError as exc:
+        # Whether the window resolves the 1P and 2P bands depends on where
+        # the PSD bins fall, so it is only known once the run is done.
+        config = record.config
+        raise ValueError(
+            f"duration {config.duration:g} s leaves a metric window of "
+            f"{len(loads) / record.rate:g} s from eval_start_s "
+            f"{config.eval_start_s:g} s, too short for the load spectra: "
+            f"{exc}") from None
     return {
         "eval_start_s": record.config.eval_start_s,
         "load_variance": [float(v) for v in loads.var(axis=0)],
         "pitch_variance": [float(v) for v in pitch.var(axis=0)],
         "mean_rotor_rpm": mean_omega / RPM_TO_RADS,
         "f_1p_hz": f_1p,
-        "load_band_power_1p": [
-            band_power(freqs, psd1, 0.85 * f_1p, 1.15 * f_1p),
-            band_power(freqs, psd2, 0.85 * f_1p, 1.15 * f_1p)],
-        "load_band_power_2p": [
-            band_power(freqs, psd1, 1.7 * f_1p, 2.3 * f_1p),
-            band_power(freqs, psd2, 1.7 * f_1p, 2.3 * f_1p)],
+        "load_band_power_1p": band_1p,
+        "load_band_power_2p": band_2p,
     }
 
 
@@ -342,10 +349,16 @@ def compare_table(records: dict[str, dict[tuple[str, float], ExperimentRecord]]
 
 def wind_stats(series: windfield.WindSeries) -> dict:
     """Summary block for generated wind: mean, TI and PSD slope."""
-    freqs, power = welch_psd(series.samples, series.rate)
-    nyquist = series.rate / 2.0
+    try:
+        freqs, power = welch_psd(series.samples, series.rate)
+        slope = loglog_slope(freqs, power, 10.0, series.rate / 2.0)
+    except ValueError as exc:
+        raise ValueError(
+            f"duration {series.duration:g} s leaves a metric window of "
+            f"{series.duration:g} s, the whole series, too short for the "
+            f"wind spectrum: {exc}") from None
     return {
         "mean": float(series.samples.mean()),
         "ti_percent": windfield.turbulence_intensity(series),
-        "psd_slope_above_10hz": loglog_slope(freqs, power, 10.0, nyquist),
+        "psd_slope_above_10hz": slope,
     }

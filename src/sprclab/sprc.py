@@ -91,18 +91,6 @@ class LiftedPredictor:
         """(I - Gt)^{-1} rhs by forward substitution."""
         return solve_triangular(self.ig, rhs, lower=True, unit_diagonal=True)
 
-    @property
-    def gku(self) -> np.ndarray:
-        return self.solve(self.gku_t)
-
-    @property
-    def gky(self) -> np.ndarray:
-        return self.solve(self.gky_t)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.solve(self.ht)
-
 
 def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
                        n_inputs: int, n_outputs: int) -> LiftedPredictor:
@@ -224,7 +212,7 @@ def update_theta(theta: np.ndarray, delta_theta: np.ndarray, ybar: np.ndarray,
     return theta_next, theta_next - theta
 
 
-@dataclass
+@dataclass(frozen=True)
 class SprcConfig:
     """Tuning for the SPRC loop (defaults target the surrogate turbine)."""
 
@@ -348,10 +336,10 @@ class SprcController:
     def in_identification_phase(self) -> bool:
         return self._sample * self.ts < self.config.ident_duration_s
 
-    def step(self, loads, azimuth: float, omega: float) -> np.ndarray:
+    def step(self, loads, azimuth: float, omega: float) -> tuple[float, float]:
         """Process one sample; returns the per-blade pitch command (deg).
 
-        `loads` is any pair of floats; the command is a fresh array.
+        `loads` is any pair of floats, and so is the returned command.
         Commands are indexed by azimuth alone, so `omega` is not read. The
         sample is only recorded here; the rotation boundary identifies from
         the whole rotation at once. u is `control_sample` on Python floats.
@@ -370,7 +358,7 @@ class SprcController:
         y1, y2 = loads
         self._rotation.extend((azimuth, u1, u2, y1, y2))
         self._sample += 1
-        return np.array((u1, u2))
+        return u1, u2
 
     def _on_rotation_boundary(self) -> None:
         rows = np.frombuffer(self._rotation).reshape(-1, 5)

@@ -139,7 +139,7 @@ def test_criterion_05_pure_periodic_rejection():
         loads_log = np.zeros((steps, 2))
         prev = np.zeros(2)
         for k in range(steps):
-            u = 2.0 + (ctrl.step(prev, state.azimuth, state.omega)
+            u = 2.0 + (np.array(ctrl.step(prev, state.azimuth, state.omega))
                        if controlled else np.zeros(2))
             prev, state = turbine_step(state, params, u, 5.0)
             loads_log[k] = prev

@@ -128,13 +128,18 @@ def test_exported_config_reruns_identically(tmp_path, capsys):
 def test_invalid_duration_exit_code(tmp_path, capsys):
     rc = main(["run", "--duration", "-5", "--output", str(tmp_path)])
     assert rc == 1
-    # 0.001 s is less than one sample at 200 Hz: a config error that names
-    # the duration, for a run and for a bare wind series alike.
-    for command in ("run", "windgen"):
+    # 0.001 s is less than one sample at 200 Hz. The longer ones hold too
+    # few samples for the Welch segment (0.05 s run, 0.03 s wind) or too
+    # few PSD bins in the 1P band (1 s run). Each is a config error that
+    # names the duration, for a run and for a bare wind series alike.
+    for command, duration in (("run", "0.001"), ("windgen", "0.001"),
+                              ("run", "0.05"), ("run", "1"),
+                              ("windgen", "0.03")):
         capsys.readouterr()
-        rc = main([command, "--duration", "0.001", "--output", str(tmp_path)])
+        rc = main([command, "--duration", duration, "--output",
+                   str(tmp_path)])
         assert rc == 1
-        assert "duration 0.001 s" in capsys.readouterr().err
+        assert f"duration {duration} s" in capsys.readouterr().err
 
 
 def test_psd_subcommand(tmp_path, capsys):
@@ -158,15 +163,18 @@ def test_psd_output_matches_csv_writer_reference(tmp_path, capsys):
     csv_path = tmp_path / "series.csv"
     csv_path.write_text("time,y1\n" + "".join(
         f"{ti},{yi}\n" for ti, yi in zip(t, y)))
-    rc = main(["psd", str(csv_path), "--rate", "200", "--segment", "512"])
-    assert rc == 0
-    freqs, power = welch_psd(y, 200.0, segment_length=512)
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["frequency_hz", "power"])
-    for f, p in zip(freqs, power):
-        writer.writerow([f"{f:.6g}", f"{p:.6g}"])
-    assert capsys.readouterr().out == want.getvalue()
+    # Without --segment, a series shorter than 4096 samples is one segment
+    # of its full length, as in welch_psd.
+    for segment, flags in ((512, ["--segment", "512"]), (None, [])):
+        rc = main(["psd", str(csv_path), "--rate", "200", *flags])
+        assert rc == 0
+        freqs, power = welch_psd(y, 200.0, segment_length=segment)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["frequency_hz", "power"])
+        for f, p in zip(freqs, power):
+            writer.writerow([f"{f:.6g}", f"{p:.6g}"])
+        assert capsys.readouterr().out == want.getvalue()
 
 
 def test_windgen_csv_matches_csv_writer_reference(tmp_path, capsys):

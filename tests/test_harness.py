@@ -3,7 +3,7 @@
 import copy
 import csv
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,10 @@ from sprclab import harness
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, SeedMismatchError,
                              Seeds, actuator_duty, compare_table, run_experiment,
                              sweep_configs, variance_reduction, wind_stats)
+from sprclab.cipc import CipcConfig
 from sprclab.plant import LoadModel, RotorModel, TurbineParams
 from sprclab.spectral import band_power, welch_psd
+from sprclab.sprc import SprcConfig
 from sprclab import windfield
 
 FAST = dict(duration=12.0, eval_start_s=4.0)
@@ -29,13 +31,22 @@ def _fast_config(**kwargs):
 class TestConfig:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(controller="pid").validate()
+            ExperimentConfig(controller="pid")
         with pytest.raises(ValueError):
-            ExperimentConfig(duration=-1.0).validate()
+            ExperimentConfig(duration=-1.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(mode="hurricane").validate()
+            ExperimentConfig(mode="hurricane")
         with pytest.raises(ValueError):
-            ExperimentConfig(eval_start_s=200.0).validate()
+            ExperimentConfig(eval_start_s=200.0)
+        with pytest.raises(ValueError):
+            replace(ExperimentConfig(), duration=-1.0)
+        # Every config block is frozen, so a field cannot be set past the
+        # checks its constructor made.
+        for config, name in ((ExperimentConfig(), "duration"),
+                             (SprcConfig(), "beta"),
+                             (CipcConfig(), "kp")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, getattr(config, name))
 
     def test_event_kind_checked(self):
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ class TestOpenLoop:
         for k in range(n):
             if time[k] >= t_pitch:
                 state = replace(state, collective_pitch=6.0)
-            u = ctrl.step(loads, state.azimuth, state.omega)
+            u = np.array(ctrl.step(loads, state.azimuth, state.omega))
             want["azimuth"][k], want["omega"][k] = state.azimuth, state.omega
             want["pitch"][k] = u
             loads, state = _reference_turbine_step(
