@@ -16,7 +16,6 @@ import numpy as np
 from . import harness, windfield
 from .harness import ExperimentConfig, Seeds
 from .spectral import welch_psd
-from .sysid import NumericError
 
 
 def _load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
@@ -167,12 +166,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # Before ValueError: LinAlgError is one of its subclasses.
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,6 +7,7 @@ and no key list is written out anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -25,8 +26,9 @@ def decode(cls, data, path: str = ""):
     """Build a value of type `cls` from plain JSON data.
 
     Unknown keys, missing required keys and values of the wrong type raise
-    a ValueError naming their dotted path; omitted keys keep their
-    defaults. A JSON integer is accepted where a float is expected.
+    a ValueError naming their dotted path, and so do non-finite floats
+    (JSON's Infinity and NaN); omitted keys keep their defaults. A JSON
+    integer is accepted where a float is expected.
     """
     where = path or "config"
     if is_dataclass(cls):
@@ -58,4 +60,6 @@ def decode(cls, data, path: str = ""):
     if type(data) is not cls:
         raise ValueError(f"{where}: expected {cls.__name__}, "
                          f"got {type(data).__name__}")
+    if cls is float and not math.isfinite(data):
+        raise ValueError(f"{where}: must be finite, got {data}")
     return data

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -247,16 +247,21 @@ class SprcConfig:
                 raise ValueError(f"{name}: must {rule}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RotationTelemetry:
-    """Per-rotation controller telemetry streamed into experiment records."""
+    """Per-rotation controller telemetry, built once at the boundary.
 
-    time_s: float = 0.0
-    theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    delta_theta_norm: float = 0.0
-    dare_residual: float = float("nan")
-    gain_norm: float = float("nan")
-    fault: bool = False
+    `dare_residual` and `gain_norm` are NaN on a rotation that synthesized
+    nothing: an identification rotation, the first control rotation, or a
+    failed synthesis. `fault` flags a failed synthesis or a refused fold row.
+    """
+
+    time_s: float
+    theta: np.ndarray
+    delta_theta_norm: float
+    dare_residual: float
+    gain_norm: float
+    fault: bool
 
 
 class SprcController:
@@ -291,50 +296,37 @@ class SprcController:
         self.deltas = DeltaBuffer(self.period, config.past_window, r, r)
         self.markov = MarkovEstimate(r, r, config.past_window,
                                      forgetting=config.forgetting)
-        self.theta = np.zeros(nb)
-        self.delta_theta = np.zeros(nb)
         self.ybar = np.zeros(nb)
         self.delta_ybar = np.zeros(nb)
-        self.p_riccati = np.eye(3 * nb) * config.q_weight
         self._q = np.eye(3 * nb) * config.q_weight
         self._r = np.eye(nb) * config.r_weight
+        self.p_riccati = self._q  # solve_dare copies p0; _q is never mutated
         self._rng = np.random.default_rng(excitation_seed)
-        self._prev_azimuth: float | None = None
+        self._prev_azimuth = -math.inf
         # (psi, u1, u2, y1, y2) of every sample since the last boundary.
         self._rotation = array("d")
         self._sample = 0
         self._had_control_rotation = False
         self.telemetry: list[RotationTelemetry] = []
-        self._draw_excitation()
-        self._unpack_theta()
+        self._set_theta(self._excitation(), np.zeros(nb))
 
-    def _unpack_theta(self) -> None:
-        """Theta as one float tuple per harmonic h: (h, sin amplitudes of
-        blades 1 and 2, cos amplitudes of blades 1 and 2).
-
-        The per-sample command then needs no numpy call; theta only
-        changes at a rotation boundary.
-        """
-        t = self.theta.tolist()
-        self._terms = [(h, t[4 * i], t[4 * i + 1], t[4 * i + 2],
-                        t[4 * i + 3]) for i, h in enumerate(self.harmonics)]
-
-    def _draw_excitation(self) -> None:
-        """Random-phase excitation at the basis harmonics, fixed amplitude."""
-        amp = self.config.excitation_amplitude_deg
-        r = N_BLADES
-        theta = np.zeros(self.basis.n_params)
-        for h in range(len(self.harmonics)):
-            for i in range(r):
-                phase = self._rng.uniform(0.0, 2.0 * np.pi)
-                theta[(2 * h) * r + i] = amp * np.cos(phase)
-                theta[(2 * h + 1) * r + i] = amp * np.sin(phase)
+    def _set_theta(self, theta: np.ndarray, delta_theta: np.ndarray) -> None:
+        """The one writer of theta, delta_theta and `_terms`: theta as one
+        float tuple (h, sin amplitudes, cos amplitudes of both blades) per
+        harmonic h, so the per-sample command needs no numpy call."""
         self.theta = theta
-        self.delta_theta = np.zeros_like(theta)
+        self.delta_theta = delta_theta
+        self._terms = [(h, *row) for h, row in zip(
+            self.harmonics, theta.reshape(-1, 2 * N_BLADES).tolist())]
 
-    @property
-    def in_identification_phase(self) -> bool:
-        return self._sample * self.ts < self.config.ident_duration_s
+    def _excitation(self) -> np.ndarray:
+        """Random-phase excitation at the basis harmonics, fixed amplitude:
+        one phase per harmonic and blade, whose cos and sin fill the two
+        basis functions of its harmonic."""
+        phase = self._rng.uniform(0.0, 2.0 * np.pi,
+                                  (len(self.harmonics), 1, N_BLADES))
+        return self.config.excitation_amplitude_deg * np.concatenate(
+            (np.cos(phase), np.sin(phase)), axis=1).ravel()
 
     def step(self, loads, azimuth: float, omega: float) -> tuple[float, float]:
         """Process one sample; returns the per-blade pitch command (deg).
@@ -344,9 +336,7 @@ class SprcController:
         sample is only recorded here; the rotation boundary identifies from
         the whole rotation at once. u is `control_sample` on Python floats.
         """
-        wrapped = (self._prev_azimuth is not None
-                   and azimuth < self._prev_azimuth)
-        if wrapped:
+        if azimuth < self._prev_azimuth:
             self._on_rotation_boundary()
         self._prev_azimuth = azimuth
 
@@ -366,28 +356,30 @@ class SprcController:
         psi, u, y = rows[:, 0], rows[:, 1:3], rows[:, 3:]
         # One QR fold of the rotation's rows; a refused (non-finite) row
         # flags this record.
-        refused = self.markov.fold(*self.deltas.extend(u, y))
-        tel = RotationTelemetry(time_s=self._sample * self.ts,
-                                fault=refused > 0)
+        fault = self.markov.fold(*self.deltas.extend(u, y)) > 0
         ybar = self._estimate_ybar(psi, y)
         if ybar is not None:
             self.delta_ybar = ybar - self.ybar
             self.ybar = ybar
 
-        if self.in_identification_phase:
-            self._draw_excitation()
+        residual = gain_norm = math.nan
+        if self._sample * self.ts < self.config.ident_duration_s:
+            self._set_theta(self._excitation(), np.zeros_like(self.theta))
+        elif not self._had_control_rotation:
+            # Feedback begins from rest, not from the last excitation.
+            self._set_theta(np.zeros_like(self.theta),
+                            np.zeros_like(self.theta))
+            self._had_control_rotation = True
         else:
-            if not self._had_control_rotation:
-                # Feedback begins from rest, not from the last excitation.
-                self.theta = np.zeros_like(self.theta)
-                self.delta_theta = np.zeros_like(self.theta)
-                self._had_control_rotation = True
-            else:
-                self._synthesize(tel)
-        self._unpack_theta()
-        tel.theta = self.theta.copy()
-        tel.delta_theta_norm = float(np.linalg.norm(self.delta_theta))
-        self.telemetry.append(tel)
+            try:
+                residual, gain_norm = self._synthesize()
+            except (NumericError, np.linalg.LinAlgError):
+                # Fail safe: hold the last good theta and mark the rotation.
+                fault = True
+        self.telemetry.append(RotationTelemetry(
+            time_s=self._sample * self.ts, theta=self.theta.copy(),
+            delta_theta_norm=float(np.linalg.norm(self.delta_theta)),
+            dare_residual=residual, gain_norm=gain_norm, fault=fault))
 
     def _estimate_ybar(self, angles: np.ndarray,
                        loads: np.ndarray) -> np.ndarray | None:
@@ -408,28 +400,22 @@ class SprcController:
                                      rcond=None)
         return coeffs[:-1].ravel()
 
-    def _synthesize(self, tel: RotationTelemetry) -> None:
+    def _synthesize(self) -> tuple[float, float]:
+        """Commit the next theta and P; returns (dare_residual, gain_norm).
+
+        Raises NumericError or LinAlgError with all state unchanged."""
         cfg = self.config
-        try:
-            markov = self.markov.estimate
-            lp = assemble_predictor(markov, cfg.past_window, self.period,
-                                    N_BLADES, N_BLADES)
-            abar, bbar = project_predictor(lp, self.basis)
-            p_r, _, residual = solve_dare(
-                abar, bbar, self._q, self._r, p0=self.p_riccati,
-                max_iterations=cfg.dare_iterations)
-            kf = feedback_gain(p_r, abar, bbar, self._r)
-            theta, dtheta = update_theta(self.theta, self.delta_theta,
-                                         self.ybar, self.delta_ybar, kf,
-                                         cfg.alpha, cfg.beta)
-            if not np.all(np.isfinite(theta)):
-                raise NumericError("non-finite theta")
-        except (NumericError, np.linalg.LinAlgError):
-            # Fail safe: hold the last good theta and mark the rotation.
-            tel.fault = True
-            return
+        lp = assemble_predictor(self.markov.estimate, cfg.past_window,
+                                self.period, N_BLADES, N_BLADES)
+        abar, bbar = project_predictor(lp, self.basis)
+        p_r, _, residual = solve_dare(abar, bbar, self._q, self._r,
+                                      p0=self.p_riccati,
+                                      max_iterations=cfg.dare_iterations)
+        kf = feedback_gain(p_r, abar, bbar, self._r)
+        theta, dtheta = update_theta(self.theta, self.delta_theta, self.ybar,
+                                     self.delta_ybar, kf, cfg.alpha, cfg.beta)
+        if not np.all(np.isfinite(theta)):
+            raise NumericError("non-finite theta")
         self.p_riccati = p_r
-        self.theta = theta
-        self.delta_theta = dtheta
-        tel.dare_residual = residual
-        tel.gain_norm = float(np.linalg.norm(kf))
+        self._set_theta(theta, dtheta)
+        return residual, float(np.linalg.norm(kf))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sprclab
-from sprclab import windfield
+from sprclab import harness, windfield
 from sprclab.cli import main
 from sprclab.spectral import welch_psd
 
@@ -46,6 +46,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
     assert rc == 1
+    capsys.readouterr()
+    # Non-finite flag values are config errors naming their field.
+    for flag, value, name in (("--mean-wind", "nan", "mean_wind"),
+                              ("--duration", "inf", "duration")):
+        rc = main(["run", flag, value, "--output", str(tmp_path)])
+        assert rc == 1
+        assert f"{name}:" in capsys.readouterr().err
+
+
+def test_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
+    def singular(config):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(harness, "run_experiment", singular)
+    rc = main(["run", "--duration", "1", "--output", str(tmp_path)])
+    assert rc == 2
+    assert "numeric failure: singular matrix" in capsys.readouterr().err
 
 
 # Dotted path of the offending value -> a config that must be refused.
@@ -79,6 +96,10 @@ MALFORMED = {
         "excitation_amplitude_deg": -1.5}},
     "plant.loads.wind_ref_mps": {"plant": {"loads": {"wind_ref_mps": 0.0}}},
     "plant.loads.noise_std_nm": {"plant": {"loads": {"noise_std_nm": -0.1}}},
+    # Non-finite values: JSON's Infinity and NaN parse as floats.
+    "plant.loads.noise_std_nm infinite": {"plant": {"loads": {
+        "noise_std_nm": float("inf")}}},
+    "mean_wind": {"mean_wind": float("nan")},
     "plant.rotor.min_rpm": {"plant": {"rotor": {"min_rpm": 0.0,
                                                 "rpm_offset": -1000.0}}},
     "cipc.pitch_limit_deg": {"cipc": {"pitch_limit_deg": -1.0}},

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -174,10 +175,34 @@ class TestVarianceReduction:
         assert out["pooled"] == pytest.approx(50.0, abs=1e-9)
 
     def test_seed_mismatch_refused(self):
+        # Runs may differ only in the controller, its tuning and the
+        # excitation seed; anything else changes what the baseline measures
+        # (wind speed), or which samples the window holds (ts, eval_start_s).
         a = run_experiment(_fast_config())
-        b = run_experiment(_fast_config(seeds=Seeds(wind=5, noise=6)))
-        with pytest.raises(SeedMismatchError):
-            variance_reduction(a, b)
+        for changed in (dict(seeds=Seeds(wind=5, noise=6)),
+                        dict(mean_wind=4.0),
+                        dict(plant=TurbineParams(ts=0.0025)),
+                        dict(eval_start_s=6.0)):
+            b = run_experiment(_fast_config(**changed))
+            with pytest.raises(SeedMismatchError):
+                variance_reduction(a, b)
+            with pytest.raises(SeedMismatchError):
+                variance_reduction(b, a)
+        matched = _fast_config(controller="sprc-1p",
+                               seeds=Seeds(excitation=7),
+                               sprc=SprcConfig(beta=0.4),
+                               cipc=CipcConfig(kp=0.5))
+        variance_reduction(a, run_experiment(matched))  # accepted
+
+
+class TestMetricWindow:
+    def test_empty_window_refused_without_warning(self):
+        # 2 samples at 200 Hz, none at or after 0.011 s.
+        config = ExperimentConfig(duration=0.012, eval_start_s=0.011)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="metric window"):
+                run_experiment(config)
 
 
 class TestActuatorDuty:

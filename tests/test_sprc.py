@@ -1,6 +1,6 @@
 """Tests for basis projection, the lifted predictor, DARE and the controller."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -536,6 +536,19 @@ class TestFloatStep:
         faults = sum(tel.fault for tel in telemetry)
         assert (len(telemetry), faults, swaps) == (20, 2, 18)
         assert np.isfinite(telemetry[-1].gain_norm)
+        # The residual and gain norm are NaN exactly where nothing was
+        # synthesized: the identification rotations, the first control
+        # rotation and the two faults.
+        ident = sum(tel.time_s < cfg.ident_duration_s for tel in telemetry)
+        idle = set(range(ident + 1)) | {
+            i for i, tel in enumerate(telemetry) if tel.fault}
+        assert (ident, len(idle)) == (4, 7)
+        for i, tel in enumerate(telemetry):
+            assert np.isnan(tel.dare_residual) == (i in idle)
+            assert np.isnan(tel.gain_norm) == (i in idle)
+        # Each record is built once and frozen.
+        with pytest.raises(FrozenInstanceError):
+            telemetry[-1].fault = True
 
 
 def _kron_ybar_reference(angles, loads, harmonics):
