@@ -8,7 +8,7 @@ from .harness import (ExperimentConfig, ExperimentRecord, ScenarioEvent,
                       variance_reduction)
 from .plant import (StateSpaceModel, TurbineParams, TurbineState,
                     make_benchmark_plant, simulate_lti, turbine_step)
-from .sprc import SprcConfig, SprcController, build_basis, control_sample
+from .sprc_types import SprcConfig
 from .windfield import GridMode, WindSeries, generate, turbulence_intensity
 
 __all__ = [
@@ -21,3 +21,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Resolve the names of `sprclab.sprc` on first use (PEP 562): that
+    module imports scipy.linalg, which only an SPRC run needs."""
+    if name in ("SprcController", "build_basis", "control_sample"):
+        from . import sprc
+        return getattr(sprc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, windfield
+from .codec import decode
 from .harness import ExperimentConfig, Seeds
 from .spectral import welch_psd
 
@@ -29,9 +30,14 @@ def _load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentC
         # Keep the metric window valid for short runs.
         updates["eval_start_s"] = overrides.duration / 4.0
     if overrides.seed is not None:
-        updates["seeds"] = Seeds(wind=overrides.seed, noise=overrides.seed + 1,
-                                 excitation=overrides.seed + 2)
+        updates["seeds"] = _seeds(overrides.seed)
     return replace(config, **updates)
+
+
+def _seeds(seed: int) -> Seeds:
+    """The run seeds `--seed n` sets: wind n, noise n+1, excitation n+2."""
+    return decode(Seeds, {"wind": seed, "noise": seed + 1,
+                          "excitation": seed + 2}, "seeds")
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -55,8 +61,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             if key in data:
                 raise ValueError(f"{key}: set per cell by the sweep grid, "
                                  f"not by the base config")
-    seeds = base.seeds if args.seed is None else Seeds(
-        wind=args.seed, noise=args.seed + 1, excitation=args.seed + 2)
+    seeds = base.seeds if args.seed is None else _seeds(args.seed)
     controllers = ["none"] + list(args.controllers)
     records: dict = {}
     for controller in controllers:

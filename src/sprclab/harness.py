@@ -20,7 +20,7 @@ from .codec import decode, encode
 from .plant import (N_BLADES, RPM_TO_RADS, TurbineParams, TurbineState,
                     float_rows, open_loop)
 from .spectral import band_power, loglog_slope, welch_psd
-from .sprc import RotationTelemetry, SprcConfig, SprcController
+from .sprc_types import RotationTelemetry, SprcConfig
 
 SCHEMA_VERSION = 1
 CONTROLLERS = ("none", "cipc", "sprc-1p", "sprc-1p2p")
@@ -39,6 +39,11 @@ class Seeds:
     wind: int = 0
     noise: int = 1
     excitation: int = 2
+
+    def __post_init__(self):
+        for name in ("wind", "noise", "excitation"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,9 @@ def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
         return NullController()
     if config.controller == "cipc":
         return CipcController(config.cipc, ts=config.plant.ts)
+    # Imported here, not at the top: `sprc` loads scipy.linalg, which no
+    # other controller needs.
+    from .sprc import SprcController
     harmonics = (1,) if config.controller == "sprc-1p" else (1, 2)
     return SprcController(config.sprc, nominal_rotation_samples,
                           harmonics=harmonics, ts=config.plant.ts,

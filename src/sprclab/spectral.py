@@ -15,6 +15,8 @@ def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
     keeps the estimate Parseval-consistent: integrating the returned
     one-sided power over frequency recovers the signal variance.
     """
+    if not 0.0 < rate < np.inf:
+        raise ValueError(f"rate: must be positive and finite, got {rate:g}")
     series = np.asarray(series, dtype=float)
     n = min(len(series), 4096) if segment_length is None else segment_length
     if n > len(series) or n < 8:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .plant import N_BLADES, TS_DEFAULT
+from .sprc_types import RotationTelemetry, SprcConfig
 from .sysid import DeltaBuffer, MarkovEstimate, NumericError
 
 
@@ -212,58 +213,6 @@ def update_theta(theta: np.ndarray, delta_theta: np.ndarray, ybar: np.ndarray,
     return theta_next, theta_next - theta
 
 
-@dataclass(frozen=True)
-class SprcConfig:
-    """Tuning for the SPRC loop (defaults target the surrogate turbine)."""
-
-    past_window: int = 20
-    forgetting: float = 0.99999
-    q_weight: float = 1.0
-    r_weight: float = 3.0
-    alpha: float = 1.0
-    beta: float = 0.5
-    dare_iterations: int = 50
-    ident_duration_s: float = 30.0
-    excitation_amplitude_deg: float = 1.5
-    period_fraction: float = 0.9
-
-    def __post_init__(self):
-        for name, ok, rule in (
-                ("past_window", self.past_window >= 1, "be at least 1"),
-                ("dare_iterations", self.dare_iterations >= 1,
-                 "be at least 1"),
-                ("forgetting", 0.0 < self.forgetting <= 1.0, "lie in (0, 1]"),
-                ("period_fraction", 0.0 < self.period_fraction <= 1.0,
-                 "lie in (0, 1]"),
-                ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
-                ("beta", 0.0 <= self.beta <= 1.0, "lie in [0, 1]"),
-                ("q_weight", self.q_weight >= 0.0, "be non-negative"),
-                ("r_weight", self.r_weight > 0.0, "be positive"),
-                ("ident_duration_s", self.ident_duration_s >= 0.0,
-                 "be non-negative"),
-                ("excitation_amplitude_deg",
-                 self.excitation_amplitude_deg >= 0.0, "be non-negative")):
-            if not ok:
-                raise ValueError(f"{name}: must {rule}")
-
-
-@dataclass(frozen=True)
-class RotationTelemetry:
-    """Per-rotation controller telemetry, built once at the boundary.
-
-    `dare_residual` and `gain_norm` are NaN on a rotation that synthesized
-    nothing: an identification rotation, the first control rotation, or a
-    failed synthesis. `fault` flags a failed synthesis or a refused fold row.
-    """
-
-    time_s: float
-    theta: np.ndarray
-    delta_theta_norm: float
-    dare_residual: float
-    gain_norm: float
-    fault: bool
-
-
 class SprcController:
     """Azimuth-indexed SPRC: per-sample output, per-rotation synthesis.
 
@@ -363,6 +312,7 @@ class SprcController:
             self.ybar = ybar
 
         residual = gain_norm = math.nan
+        iterations = 0
         if self._sample * self.ts < self.config.ident_duration_s:
             self._set_theta(self._excitation(), np.zeros_like(self.theta))
         elif not self._had_control_rotation:
@@ -372,14 +322,15 @@ class SprcController:
             self._had_control_rotation = True
         else:
             try:
-                residual, gain_norm = self._synthesize()
+                iterations, residual, gain_norm = self._synthesize()
             except (NumericError, np.linalg.LinAlgError):
                 # Fail safe: hold the last good theta and mark the rotation.
                 fault = True
         self.telemetry.append(RotationTelemetry(
             time_s=self._sample * self.ts, theta=self.theta.copy(),
             delta_theta_norm=float(np.linalg.norm(self.delta_theta)),
-            dare_residual=residual, gain_norm=gain_norm, fault=fault))
+            dare_residual=residual, dare_iterations=iterations,
+            gain_norm=gain_norm, fault=fault))
 
     def _estimate_ybar(self, angles: np.ndarray,
                        loads: np.ndarray) -> np.ndarray | None:
@@ -400,17 +351,18 @@ class SprcController:
                                      rcond=None)
         return coeffs[:-1].ravel()
 
-    def _synthesize(self) -> tuple[float, float]:
-        """Commit the next theta and P; returns (dare_residual, gain_norm).
+    def _synthesize(self) -> tuple[int, float, float]:
+        """Commit the next theta and P; returns the DARE iterations, the
+        DARE residual and the gain norm.
 
         Raises NumericError or LinAlgError with all state unchanged."""
         cfg = self.config
         lp = assemble_predictor(self.markov.estimate, cfg.past_window,
                                 self.period, N_BLADES, N_BLADES)
         abar, bbar = project_predictor(lp, self.basis)
-        p_r, _, residual = solve_dare(abar, bbar, self._q, self._r,
-                                      p0=self.p_riccati,
-                                      max_iterations=cfg.dare_iterations)
+        p_r, iterations, residual = solve_dare(
+            abar, bbar, self._q, self._r, p0=self.p_riccati,
+            max_iterations=cfg.dare_iterations)
         kf = feedback_gain(p_r, abar, bbar, self._r)
         theta, dtheta = update_theta(self.theta, self.delta_theta, self.ybar,
                                      self.delta_ybar, kf, cfg.alpha, cfg.beta)
@@ -418,4 +370,4 @@ class SprcController:
             raise NumericError("non-finite theta")
         self.p_riccati = p_r
         self._set_theta(theta, dtheta)
-        return residual, float(np.linalg.norm(kf))
+        return iterations, residual, float(np.linalg.norm(kf))

@@ -142,12 +142,14 @@ def generate(mode: GridMode, mean: float, duration: float, rate: float,
     the spectrum carries the mode's low-frequency character and decays
     with the -5/3 law above the injection band.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if rate < 200.0:
-        raise ValueError("rate must be at least 200 Hz")
-    if mean <= 0.0:
-        raise ValueError("mean wind speed must be positive")
+    if not 0.0 < duration < np.inf:
+        raise ValueError("duration: must be positive and finite")
+    if not 200.0 <= rate < np.inf:
+        raise ValueError("rate: must be finite and at least 200 Hz")
+    if not 0.0 < mean < np.inf:
+        raise ValueError("mean: must be positive and finite")
+    if seed < 0:
+        raise ValueError("seed: must be non-negative")
 
     n = int(round(duration * rate))
     if n < 2:

@@ -47,12 +47,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
     assert rc == 1
     capsys.readouterr()
-    # Non-finite flag values are config errors naming their field.
-    for flag, value, name in (("--mean-wind", "nan", "mean_wind"),
-                              ("--duration", "inf", "duration")):
-        rc = main(["run", flag, value, "--output", str(tmp_path)])
-        assert rc == 1
-        assert f"{name}:" in capsys.readouterr().err
+    # Non-finite or negative flag values are config errors naming their
+    # field, for a run, a wind series and a spectrum alike.
+    series = tmp_path / "series.csv"
+    series.write_text("time,y1\n" + "".join(
+        f"{k / 200},{np.sin(k / 10)}\n" for k in range(64)))
+    for argv, name in (
+            (["run", "--mean-wind", "nan"], "mean_wind"),
+            (["run", "--duration", "inf"], "duration"),
+            (["run", "--seed", "-1"], "seeds.wind"),
+            (["windgen", "--seed", "-3"], "seed"),
+            (["windgen", "--duration", "nan"], "duration"),
+            (["windgen", "--mean", "inf"], "mean"),
+            (["windgen", "--rate", "nan"], "rate"),
+            (["psd", str(series), "--rate", "nan"], "rate"),
+            (["psd", str(series), "--rate", "-5"], "rate"),
+            (["psd", str(series), "--rate", "0"], "rate")):
+        if argv[0] != "psd":
+            argv = [*argv, "--output", str(tmp_path)]
+        rc = main(argv)
+        assert rc == 1, argv
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {name}:"), argv
+        assert out == ""
 
 
 def test_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -234,3 +251,50 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run by a fresh interpreter that imports
+    the same sprclab as this one."""
+    src = str(Path(sprclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_only_sprc_runs_load_scipy(tmp_path):
+    # Commands that run no SPRC load no SciPy module at all; the first
+    # SprcController brings in scipy.linalg.
+    out = str(tmp_path)
+    code = f"""
+import contextlib, io, sys
+import sprclab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sprclab.cli.main(list(argv)) == 0, argv
+
+run("run", "--controller", "cipc", "--duration", "12", "--output", {out!r})
+run("windgen", "--duration", "30", "--output", {out!r})
+run("psd", {out + "/cipc_static0_5.csv"!r})
+print(scipy_modules())
+run("run", "--controller", "sprc-1p", "--duration", "12", "--output", {out!r})
+print("scipy.linalg" in scipy_modules())
+"""
+    assert _fresh_python(code).split("\n")[:2] == ["[]", "True"]
+
+
+def test_public_names_resolve():
+    # The SPRC names resolve on first use; the config types are one object
+    # whichever module they are taken from.
+    from sprclab import sprc, sprc_types
+    for name in sprclab.__all__:
+        assert getattr(sprclab, name) is not None
+    assert sprclab.SprcConfig is sprc.SprcConfig is sprc_types.SprcConfig
+    assert sprclab.SprcController is sprc.SprcController
+    with pytest.raises(AttributeError):
+        sprclab.no_such_name

@@ -546,9 +546,39 @@ class TestFloatStep:
         for i, tel in enumerate(telemetry):
             assert np.isnan(tel.dare_residual) == (i in idle)
             assert np.isnan(tel.gain_norm) == (i in idle)
+            assert (tel.dare_iterations == 0) == (i in idle)
         # Each record is built once and frozen.
         with pytest.raises(FrozenInstanceError):
             telemetry[-1].fault = True
+
+
+class TestRotationTelemetry:
+    def test_dare_iterations_match_solve_dare(self):
+        # The first synthesized rotation, redone from the controller's
+        # Riccati matrix before it and its Markov estimate after the fold.
+        # The cap is high enough for the iteration to converge below it,
+        # so the count is not just the cap.
+        cfg = SprcConfig(ident_duration_s=1.3, dare_iterations=500)
+        per_rev = 52
+        ctrl = SprcController(cfg, per_rev)
+        rng = np.random.default_rng(5)
+        nb = ctrl.basis.n_params
+        q, r = np.eye(3 * nb) * cfg.q_weight, np.eye(nb) * cfg.r_weight
+        k = 0
+        while not any(tel.dare_iterations for tel in ctrl.telemetry):
+            p_before = ctrl.p_riccati
+            ctrl.step(rng.standard_normal(2),
+                      2.0 * np.pi * ((k + 0.5) / per_rev % 1.0), 24.0)
+            k += 1
+        tel = ctrl.telemetry[-1]
+        lp = assemble_predictor(ctrl.markov.estimate, cfg.past_window,
+                                ctrl.period, 2, 2)
+        abar, bbar = project_predictor(lp, ctrl.basis)
+        _, iterations, residual = solve_dare(
+            abar, bbar, q, r, p0=p_before, max_iterations=cfg.dare_iterations)
+        assert (tel.dare_iterations, tel.dare_residual) == (iterations,
+                                                            residual)
+        assert 1 < iterations < cfg.dare_iterations
 
 
 def _kron_ybar_reference(angles, loads, harmonics):
