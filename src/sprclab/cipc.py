@@ -58,36 +58,38 @@ class _Channel:
     """One fixed-frame channel: a 2P notch, then PI with anti-windup.
 
     The notch is a second-order IIR with retunable center frequency. Its
-    taps and the integrator are Python floats: numpy's per-call cost on
-    scalars would be most of the step's time.
+    taps and the integrator are Python floats, and the tuning is read into
+    floats once: numpy's per-call cost on scalars, or an attribute chain
+    per sample, would be most of the step's time.
     """
 
     def __init__(self, config: CipcConfig, ts: float):
-        self.config = config
         self.ts = ts
+        self._kp, self._ki = config.kp, config.ki
+        self._limit = config.pitch_limit_deg
+        self._rho2 = config.notch_pole_radius * config.notch_pole_radius
         self.integrator = 0.0
         self._x1 = self._x2 = self._y1 = self._y2 = 0.0
 
-    def step(self, x: float, c: float, k: float) -> float:
+    def step(self, x: float, b1: float, a1: float, k: float) -> float:
         """Filter and integrate one sample; returns the channel command.
 
-        c is the cosine of the notch angle omega0*Ts and k the gain that
-        normalizes the notch to unity DC gain.
+        With c the cosine of the notch angle omega0*Ts and rho the pole
+        radius, b1 = 2c and a1 = 2 rho c are the notch's tap weights and k
+        the gain that normalizes it to unity DC gain.
         """
-        cfg = self.config
-        rho = cfg.notch_pole_radius
-        y = (k * (x - 2.0 * c * self._x1 + self._x2)
-             + 2.0 * rho * c * self._y1 - rho * rho * self._y2)
+        y = (k * (x - b1 * self._x1 + self._x2)
+             + a1 * self._y1 - self._rho2 * self._y2)
         self._x2, self._x1 = self._x1, x
         self._y2, self._y1 = self._y1, y
         error = -y
         integ = self.integrator + error * self.ts
-        cmd = cfg.kp * error + cfg.ki * integ
+        kp, ki = self._kp, self._ki
+        cmd = kp * error + ki * integ
         # Anti-windup: clamp the integrator at the pitch limits.
-        if abs(cmd) > cfg.pitch_limit_deg and cfg.ki != 0.0:
-            integ = (math.copysign(cfg.pitch_limit_deg, cmd)
-                     - cfg.kp * error) / cfg.ki
-            cmd = cfg.kp * error + cfg.ki * integ
+        if abs(cmd) > self._limit and ki != 0.0:
+            integ = (math.copysign(self._limit, cmd) - kp * error) / ki
+            cmd = kp * error + ki * integ
         self.integrator = integ
         return cmd
 
@@ -104,6 +106,10 @@ class CipcController:
         self.telemetry: list = []  # CIPC keeps no per-rotation record
         self.tilt = _Channel(self.config, ts)
         self.yaw = _Channel(self.config, ts)
+        self._tilt_step, self._yaw_step = self.tilt.step, self.yaw.step
+        rho = self.config.notch_pole_radius
+        self._two_rho, self._rho2 = 2.0 * rho, rho * rho
+        self._max_angle = math.pi * 0.9
 
     def step(self, loads, azimuth: float, omega: float) -> tuple[float, float]:
         """One control sample; omega (rad/s) sets the 2P notch center.
@@ -113,11 +119,14 @@ class CipcController:
         the blade angles' cos and sin are evaluated once.
         """
         m1, m2 = loads
-        c1, s1, c2, s2 = _blade_trig(azimuth)
-        # The notch coefficients both channels share.
-        c = math.cos(min(2.0 * omega * self.ts, math.pi * 0.9))
-        rho = self.config.notch_pole_radius
-        k = (1.0 - 2.0 * rho * c + rho * rho) / (2.0 - 2.0 * c)
-        tilt = self.tilt.step(m1 * c1 + m2 * c2, c, k)
-        yaw = self.yaw.step(m1 * s1 + m2 * s2, c, k)
+        c1, s1 = math.cos(azimuth), math.sin(azimuth)
+        c2, s2 = math.cos(azimuth + math.pi), math.sin(azimuth + math.pi)
+        # The notch coefficients both channels share; the angle is capped
+        # as min(angle, cap) would, without the builtin call.
+        angle, cap = 2.0 * omega * self.ts, self._max_angle
+        c = math.cos(cap if cap < angle else angle)
+        b1, a1 = 2.0 * c, self._two_rho * c
+        k = (1.0 - a1 + self._rho2) / (2.0 - b1)
+        tilt = self._tilt_step(m1 * c1 + m2 * c2, b1, a1, k)
+        yaw = self._yaw_step(m1 * s1 + m2 * s2, b1, a1, k)
         return tilt * c1 + yaw * s1, tilt * c2 + yaw * s2

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -118,7 +119,11 @@ def _cmd_windgen(args: argparse.Namespace) -> None:
     print(json.dumps(stats, indent=2))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. It is built on first use: a parser
+    holds reference cycles, so one built per `main` call would stay in
+    memory until the cyclic collector ran."""
     parser = argparse.ArgumentParser(prog="sprclab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,6 +10,7 @@ but the controller, its tuning (`sprc`, `cipc`) and the excitation seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +58,10 @@ class ScenarioEvent:
     def __post_init__(self):
         if self.kind not in ("collective_pitch", "wind_mean"):
             raise ValueError(f"kind: unknown event kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError("value: must be finite")
+        if self.kind == "wind_mean" and not self.value > 0.0:
+            raise ValueError("value: a wind_mean must be positive")
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
                       np.random.default_rng(config.seeds.noise))
 
     a = params.servo_pole
+    lag = 1.0 - a
     gain = params.loads.pitch_gain_nm_per_deg
     servo1, servo2 = state.servo_pitch.tolist()
     pitch = np.zeros((n, N_BLADES))
@@ -203,25 +209,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     # Element writes of Python floats through memoryviews: a numpy row
     # write per sample would cost more than the servo and load update.
     pitch_out, loads_out = memoryview(pitch), memoryview(loads)
-    y = (0.0, 0.0)  # the controller sees the previous sample's loads
-    # One plain float per blade: numpy's per-call cost on two-element
-    # arrays would be most of the loop's time.
-    for k, (psi, omega, coll, (p1, p2), (w1, w2), (e1, e2)) in enumerate(
-            float_rows(rotor.azimuth, rotor.omega, collective, rotor.periodic,
-                       rotor.wind_term, rotor.noise)):
-        u1, u2 = controller.step(y, psi, omega)
-        servo1 = a * servo1 + (1.0 - a) * (coll + u1)
-        servo2 = a * servo2 + (1.0 - a) * (coll + u2)
-        y = (p1 + gain * (servo1 - coll) + w1 + e1,
-             p2 + gain * (servo2 - coll) + w2 + e2)
+    step = controller.step
+    y1 = y2 = 0.0  # the controller sees the previous sample's loads
+    # One plain float per blade, in flat columns: numpy's per-call cost on
+    # two-element arrays would be most of the loop's time.
+    for k, (psi, omega, coll, p1, p2, w1, w2, e1, e2) in enumerate(
+            float_rows(rotor.azimuth, rotor.omega, collective,
+                       *rotor.periodic.T, *rotor.wind_term.T,
+                       *rotor.noise.T)):
+        u1, u2 = step((y1, y2), psi, omega)
+        servo1 = a * servo1 + lag * (coll + u1)
+        servo2 = a * servo2 + lag * (coll + u2)
+        y1 = p1 + gain * (servo1 - coll) + w1 + e1
+        y2 = p2 + gain * (servo2 - coll) + w2 + e2
         pitch_out[k, 0], pitch_out[k, 1] = u1, u2
-        loads_out[k, 0], loads_out[k, 1] = y
+        loads_out[k, 0], loads_out[k, 1] = y1, y2
 
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
                               loads=loads, azimuth=rotor.azimuth,
                               omega=rotor.omega, wind=wind,
                               rotations=controller.telemetry)
-    record.metrics = _basic_metrics(record)
+    # An overflow in the metrics is refused by name below, so numpy's
+    # warnings about it would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record.metrics = _basic_metrics(record)
+    for name, value in record.metrics.items():
+        # JSON would carry it as Infinity or NaN, in a run that exits 0.
+        if not np.all(np.isfinite(value)):
+            raise ArithmeticError(f"{name}: not finite, got {value}")
     return record
 
 

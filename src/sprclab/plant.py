@@ -211,10 +211,14 @@ class RotorModel:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name}: must be positive")
 
-    def steady_rpm(self, wind_mps: float, collective_deg: float) -> float:
+    def steady_rpm(self, wind_mps, collective_deg):
+        """Steady rotor speed (rpm), floored at `min_rpm`.
+
+        Takes scalars or equal-shaped arrays (one entry per sample).
+        """
         rpm = (self.rpm_offset + self.rpm_per_mps * wind_mps
                + self.rpm_per_deg * collective_deg)
-        return max(rpm, self.min_rpm)
+        return np.maximum(rpm, self.min_rpm)
 
 
 @dataclass(frozen=True)
@@ -348,9 +352,10 @@ def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
               collective: np.ndarray, rng: np.random.Generator) -> OpenLoop:
     """What `turbine_step` computes from the wind and collective alone.
 
-    The wind low-pass, rotor speed and azimuth are sequential, so they run
-    as one scalar recursion on Python floats; the amplitude scale is
-    squared there too, because `**` on a float calls libm `pow` as
+    The steady rotor speed reads only the inputs, so it is one array
+    expression. The wind low-pass, rotor speed and azimuth are sequential,
+    so they run as one scalar recursion on Python floats; the amplitude
+    scale is squared there too, because `**` on a float calls libm `pow` as
     `turbine_step` does, while numpy's array `** 2` multiplies and can
     differ in the last bit. The loads are then formed on whole arrays, and
     the noise is one draw of all samples, which yields the same numbers as
@@ -360,20 +365,24 @@ def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
     lm, rotor = params.loads, params.rotor
     b = ts / params.wind_lowpass_tau_s
     relax = ts / rotor.tau_s
+    wind_ref = lm.wind_ref_mps
+    two_pi = 2.0 * np.pi
+    omega_ss = rotor.steady_rpm(wind, collective) * RPM_TO_RADS
     azimuth, omega, wind_lp = initial.azimuth, initial.omega, initial.wind_lp
     # array("d") keeps 8 bytes a sample, where a list keeps a float object.
     azimuths, omegas, lowpassed, amp_scale = (array("d") for _ in range(4))
-    for wind_sample, coll in float_rows(wind, collective):
-        azimuths.append(azimuth)
-        omegas.append(omega)
+    put_azimuth, put_omega = azimuths.append, omegas.append
+    put_lowpassed, put_amp = lowpassed.append, amp_scale.append
+    for wind_sample, target in float_rows(wind, omega_ss):
+        put_azimuth(azimuth)
+        put_omega(omega)
         wind_lp = wind_lp + b * (wind_sample - wind_lp)
-        lowpassed.append(wind_lp)
-        amp_scale.append((wind_lp / lm.wind_ref_mps) ** 2)
-        omega_ss = rotor.steady_rpm(wind_sample, coll) * RPM_TO_RADS
-        omega = omega + relax * (omega_ss - omega)
+        put_lowpassed(wind_lp)
+        put_amp((wind_lp / wind_ref) ** 2)
+        omega = omega + relax * (target - omega)
         azimuth = azimuth + omega * ts
-        if azimuth >= 2.0 * np.pi:
-            azimuth -= 2.0 * np.pi
+        if azimuth >= two_pi:
+            azimuth -= two_pi
 
     azimuths = np.array(azimuths)
     # Blade 2 sits half a turn ahead; it is heavier and phase-shifted.

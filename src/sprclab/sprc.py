@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -110,12 +111,7 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     # Blocks indexed by lag - 1: the Markov matrix stores the oldest first.
     mu = markov[:, :r * p].reshape(l, p, r).transpose(1, 0, 2)[::-1]
     my = markov[:, r * p:].reshape(l, p, l).transpose(1, 0, 2)[::-1]
-    i, j = np.indices((P, P))
-    lag = i - j
-    sub = (lag >= 1) & (lag <= p)      # strict block subdiagonals 1..p
-    top = (-lag >= P - p)              # top-right corner blocks
-    si, sj, sq = i[sub], j[sub], lag[sub] - 1
-    ci, cj, cq = i[top], j[top], P - 1 + lag[top]
+    (si, sj, sq), (ci, cj, cq) = _lift_pattern(P, p)
 
     ht = np.zeros((P, l, P, r))
     gt = np.zeros((P, l, P, l))
@@ -129,6 +125,22 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
                            gku_t=gku_t.reshape(l * P, r * P),
                            gky_t=gky_t.reshape(l * P, l * P),
                            ht=ht.reshape(l * P, r * P))
+
+
+@lru_cache(maxsize=8)
+def _lift_pattern(period: int, past_window: int):
+    """Block (row, column, lag - 1) indices of the strict subdiagonals
+    1..p and of the top-right corner blocks; a run rebuilds its predictor
+    on every rotation with the same (P, p)."""
+    i, j = np.indices((period, period))
+    lag = i - j
+    sub = (lag >= 1) & (lag <= past_window)
+    top = -lag >= period - past_window
+    pattern = ((i[sub], j[sub], lag[sub] - 1),
+               (i[top], j[top], period - 1 + lag[top]))
+    for index in (*pattern[0], *pattern[1]):
+        index.setflags(write=False)
+    return pattern
 
 
 def project_predictor(lp: LiftedPredictor,
@@ -345,10 +357,14 @@ class SprcController:
         """
         if len(angles) < max(8, self.basis.n_params):
             return None
-        rows = basis_rows(angles, 1, self.harmonics)
-        dc = np.ones((len(angles), 1))
-        coeffs, *_ = np.linalg.lstsq(np.hstack([rows, dc]), loads,
-                                     rcond=None)
+        # The scalar rows of `basis_rows`, built in place beside the DC
+        # column: [sin(h a), cos(h a) for h in harmonics, 1].
+        phases = np.multiply.outer(angles, self.harmonics)
+        design = np.empty((len(angles), 2 * len(self.harmonics) + 1))
+        design[:, 0:-1:2] = np.sin(phases)
+        design[:, 1:-1:2] = np.cos(phases)
+        design[:, -1] = 1.0
+        coeffs, *_ = np.linalg.lstsq(design, loads, rcond=None)
         return coeffs[:-1].ravel()
 
     def _synthesize(self) -> tuple[int, float, float]:

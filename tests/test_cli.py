@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -70,6 +71,53 @@ def test_config_error_exit_code(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert err.startswith(f"config error: {name}:"), argv
         assert out == ""
+    # A wind_mean event must name a positive mean: it is refused with the
+    # config, before any wind is synthesized.
+    for value in (-1, 0):
+        bad.write_text(json.dumps({
+            "duration": 12, "eval_start_s": 3,
+            "events": [{"time_s": 5, "kind": "wind_mean", "value": value}]}))
+        rc = main(["run", "--config", str(bad), "--output", str(tmp_path)])
+        assert rc == 1, value
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: events[0].value:"), value
+        assert out == ""
+
+
+def test_overflowing_metrics_exit_code(tmp_path, capsys):
+    # A huge collective step overflows the load variance and band powers;
+    # the run is a numeric failure that writes no files, not a run whose
+    # JSON carries Infinity.
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({
+        "duration": 12, "eval_start_s": 3,
+        "events": [{"time_s": 5, "kind": "collective_pitch",
+                    "value": 1e300}]}))
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--output", str(out_dir)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("numeric failure: load_variance: not finite")
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_main_leaves_no_parser_for_the_collector(tmp_path, capsys):
+    # An argparse parser holds reference cycles. `main` reuses the one
+    # parser of the process, so a call leaves none of its objects behind
+    # for the cyclic collector, however often a process calls it.
+    argv = ["windgen", "--duration", "5", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_linalg_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -53,6 +53,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioEvent(10.0, "blade_loss", 1.0)
 
+    def test_event_value_checked(self):
+        # Built directly, past the codec's finite-float check: a value of
+        # either kind must be finite, and a wind_mean one also positive.
+        for kind, value in (("collective_pitch", np.nan),
+                            ("collective_pitch", np.inf),
+                            ("wind_mean", -np.inf), ("wind_mean", np.nan),
+                            ("wind_mean", 0.0), ("wind_mean", -1.0)):
+            with pytest.raises(ValueError, match=r"^value:"):
+                ScenarioEvent(10.0, kind, value)
+        ScenarioEvent(10.0, "collective_pitch", -5.0)
+        ScenarioEvent(10.0, "wind_mean", 1e-3)
+
     def test_dict_round_trip(self):
         config = ExperimentConfig(
             mode="lidar", mean_wind=4.5, controller="sprc-1p",

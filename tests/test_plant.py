@@ -237,6 +237,44 @@ class TestTurbineSurrogate:
         np.testing.assert_array_equal(out[0], out[1])
 
 
+def _reference_closed_loop(config, wind, pitch_step):
+    """The run of `config` stepped through the per-blade reference.
+
+    `wind` is the run's wind series, built by the caller, and `pitch_step`
+    the (time_s, value) of its one collective-pitch event. The `none`
+    controller commands zero pitch.
+    """
+    params = config.plant
+    n = len(wind)
+    time = np.arange(n) * params.ts
+    t_pitch, pitch_value = pitch_step
+    state = TurbineState.initial(params, config.mean_wind,
+                                 config.collective_pitch_deg)
+    ctrl = (CipcController(config.cipc, ts=params.ts)
+            if config.controller == "cipc" else None)
+    rng = np.random.default_rng(config.seeds.noise)
+    want = {name: np.zeros((n, 2)) for name in ("pitch", "loads")}
+    want.update(azimuth=np.zeros(n), omega=np.zeros(n))
+    loads = np.zeros(2)
+    for k in range(n):
+        if time[k] >= t_pitch:
+            state = replace(state, collective_pitch=pitch_value)
+        u = (np.zeros(2) if ctrl is None
+             else np.array(ctrl.step(loads, state.azimuth, state.omega)))
+        want["azimuth"][k], want["omega"][k] = state.azimuth, state.omega
+        want["pitch"][k] = u
+        loads, state = _reference_turbine_step(
+            state, params, state.collective_pitch + u, wind[k], rng)
+        want["loads"][k] = loads
+    return want
+
+
+def _assert_record_equals(record, want):
+    for name, series in want.items():
+        np.testing.assert_array_equal(getattr(record, name), series,
+                                      err_msg=name)
+
+
 class TestOpenLoop:
     def test_cipc_run_matches_reference_loop_bitwise(self):
         # Oracle: the whole closed loop stepped through the per-blade
@@ -259,28 +297,37 @@ class TestOpenLoop:
         wind = [windfield.generate(mode, mean, config.duration, rate,
                                    seed=3).samples[:n] for mean in (5.0, 5.5)]
         wind = np.where(time >= t_wind, wind[1], wind[0])
-        state = TurbineState.initial(params, config.mean_wind,
-                                     config.collective_pitch_deg)
-        ctrl = CipcController(config.cipc, ts=params.ts)
-        rng = np.random.default_rng(4)
-        want = {name: np.zeros((n, 2)) for name in ("pitch", "loads")}
-        want.update(azimuth=np.zeros(n), omega=np.zeros(n))
-        loads = np.zeros(2)
-        for k in range(n):
-            if time[k] >= t_pitch:
-                state = replace(state, collective_pitch=6.0)
-            u = np.array(ctrl.step(loads, state.azimuth, state.omega))
-            want["azimuth"][k], want["omega"][k] = state.azimuth, state.omega
-            want["pitch"][k] = u
-            loads, state = _reference_turbine_step(
-                state, params, state.collective_pitch + u, wind[k], rng)
-            want["loads"][k] = loads
+        want = _reference_closed_loop(config, wind, (t_pitch, 6.0))
         assert np.count_nonzero(time < t_wind) == int(t_wind * rate) + 1
         np.testing.assert_array_equal(record.time, time)
         np.testing.assert_array_equal(record.wind, wind)
-        for name, series in want.items():
-            np.testing.assert_array_equal(getattr(record, name), series,
-                                          err_msg=name)
+        _assert_record_equals(record, want)
+
+    @pytest.mark.parametrize("controller", ["none", "cipc"])
+    def test_rotor_speed_floor_matches_reference_loop_bitwise(self,
+                                                              controller):
+        # A collective step to 60 deg at 5 m/s sets the affine steady
+        # speed to 12.5 rpm, under the 30 rpm floor. The static0
+        # turbulence moves it between about -20 and 43 rpm, so the
+        # open-loop clamp both engages and releases after the step.
+        t_pitch = 6.0
+        config = ExperimentConfig(
+            mode="static0", controller=controller, duration=20.0,
+            eval_start_s=5.0, seeds=Seeds(wind=3, noise=4, excitation=5),
+            events=(ScenarioEvent(t_pitch, "collective_pitch", 60.0),))
+        record = run_experiment(config)
+        rotor = config.plant.rotor
+        assert rotor.steady_rpm(5.0, 60.0) == rotor.min_rpm
+        after = record.time >= t_pitch
+        unclamped = (rotor.rpm_offset + rotor.rpm_per_mps * record.wind
+                     + rotor.rpm_per_deg * 60.0)[after]
+        assert np.mean(unclamped) == pytest.approx(12.5, abs=1.0)
+        assert 0 < np.count_nonzero(unclamped < rotor.min_rpm) < len(unclamped)
+        # The rotor slows to near the floor within the run.
+        assert record.omega[-1] / RPM_TO_RADS < 1.05 * rotor.min_rpm
+        _assert_record_equals(
+            record, _reference_closed_loop(config, record.wind,
+                                           (t_pitch, 60.0)))
 
 
 class TestRotorModel:

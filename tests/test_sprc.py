@@ -664,12 +664,15 @@ class TestOperatingEnvelope:
     # wind steps 4 -> 5, 5 -> 4 and 5 -> 6 m/s (P = 72, 46, 46 against
     # about 53, 81 and 39 samples per rotation after the step), and within
     # 0.12 pp for collective steps 2 -> 10, 2 -> 0 and 10 -> 2 deg at
-    # 5 m/s.
+    # 5 m/s. The 4.5 -> 5 m/s step is acceptance criterion 9's: stepped
+    # and steady read 78.31/78.26, 78.23/78.15 and 78.97/78.91 %, a gap of
+    # 0.06-0.08 pp, where criterion 9 itself only asks for a ratio.
     FIELDS = {"wind_mean": "mean_wind",
               "collective_pitch": "collective_pitch_deg"}
 
     @pytest.mark.parametrize("kind, start, end", [
-        ("wind_mean", 4.0, 5.0), ("wind_mean", 5.0, 4.0),
+        ("wind_mean", 4.0, 5.0), ("wind_mean", 4.5, 5.0),
+        ("wind_mean", 5.0, 4.0),
         ("wind_mean", 5.0, 6.0), ("collective_pitch", 2.0, 10.0),
         ("collective_pitch", 2.0, 0.0), ("collective_pitch", 10.0, 2.0)])
     def test_setpoint_step_reaches_steady_reduction(self, kind, start, end):
