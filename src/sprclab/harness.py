@@ -28,6 +28,7 @@ CONTROLLERS = ("none", "cipc", "sprc-1p", "sprc-1p2p")
 SWEEP_MODES = ("static0", "static45", "lidar", "gusts")
 SWEEP_SPEEDS = (4.0, 4.5, 5.0)
 SWEPT_FIELDS = ("mode", "mean_wind", "controller")  # set per sweep cell
+MAX_SAMPLES = 10_000_000  # about 14 h at 200 Hz
 
 
 class SeedMismatchError(ValueError):
@@ -83,6 +84,10 @@ class ExperimentConfig:
             raise ValueError(f"controller: must be one of {CONTROLLERS}")
         if not 0.0 < self.duration < np.inf:
             raise ValueError("duration: must be positive and finite")
+        samples = round(self.duration / self.plant.ts)
+        if samples > MAX_SAMPLES:  # refused before a run allocates them
+            raise ValueError(f"plant.ts: {self.plant.ts:g} s makes {samples} "
+                             f"samples, more than {MAX_SAMPLES}")
         if not 0.0 < self.mean_wind < np.inf:
             raise ValueError("mean_wind: must be positive and finite")
         if not 0.0 <= self.eval_start_s < self.duration:

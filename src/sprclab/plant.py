@@ -238,6 +238,11 @@ class TurbineParams:
         if self.ts > TS_DEFAULT:
             # The wind synthesis needs a rate of at least 200 Hz.
             raise ValueError(f"ts: must be at most {TS_DEFAULT} s")
+        # A lag with ts / tau above 1 overshoots its target; above 2, diverges.
+        for name, tau in (("wind_lowpass_tau_s", self.wind_lowpass_tau_s),
+                          ("rotor.tau_s", self.rotor.tau_s)):
+            if tau < self.ts:
+                raise ValueError(f"{name}: must be at least ts ({self.ts:g} s)")
 
     @cached_property
     def servo_pole(self) -> float:

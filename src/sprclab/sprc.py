@@ -2,7 +2,8 @@
 
 Per rotation, the identified Markov parameters are lifted into a period-P
 predictor, projected onto quadrature sinusoid pairs at the rotor harmonics,
-and an LQR gain is synthesized by fixed-point DARE iteration. The per-sample
+and the LQR gain comes from one Riccati step from the last rotation's
+solution, so the Riccati matrix tracks the moving estimate. The per-sample
 pitch command reconstructs the sinusoids from the measured azimuth, so the
 phase reference is azimuth rather than time.
 """
@@ -172,46 +173,41 @@ def project_predictor(lp: LiftedPredictor,
 
 
 def dare_step(p_riccati: np.ndarray, abar: np.ndarray, bbar: np.ndarray,
-              q_weight: np.ndarray, r_weight: np.ndarray) -> np.ndarray:
-    """One fixed-point iteration of the discrete algebraic Riccati recursion.
+              q_weight: np.ndarray, r_weight: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """One Riccati iteration from P; returns (P_next, K_f, residual).
 
-    P is symmetric, so B'P is (PB)': PB is formed once, and
-    (R + B'PB)^{-1} (PB)' takes one LU solve, LAPACK's dgesv as in
-    np.linalg.solve.
+    P is symmetric, so B'P is (PB)': X = (R + B'PB)^{-1} (PB)' takes one LU
+    solve, LAPACK's dgesv as in np.linalg.solve, and the gain at P,
+    K_f = (R + B'PB)^{-1} B'PA, is X A. The residual is
+    ||P_next - P||_F / (1 + ||P||_F).
     """
     pb = p_riccati @ bbar
     _, _, x, info = lapack.dgesv(r_weight + bbar.T @ pb, pb.T)
     if info > 0:
         raise np.linalg.LinAlgError("singular Riccati gain matrix")
     nxt = q_weight + abar.T @ (p_riccati - pb @ x) @ abar
-    return 0.5 * (nxt + nxt.T)
+    nxt = 0.5 * (nxt + nxt.T)
+    # Frobenius norms as in np.linalg.norm, without its dispatch.
+    d, p = (nxt - p_riccati).ravel(), p_riccati.ravel()
+    return nxt, x @ abar, math.sqrt(d @ d) / (1.0 + math.sqrt(p @ p))
 
 
 def solve_dare(abar: np.ndarray, bbar: np.ndarray, q_weight: np.ndarray,
                r_weight: np.ndarray, p0: np.ndarray | None = None,
                max_iterations: int = 500,
                tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
-    """Iterate dare_step to a fixed point; returns (P, iterations, residual)."""
+    """Iterate dare_step to a fixed point, the reference for the controller's
+    one step per rotation; returns (P, iterations, residual)."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    p_riccati = q_weight.copy() if p0 is None else p0.copy()
-    residual = np.inf
+    p_riccati = q_weight if p0 is None else p0
     for it in range(1, max_iterations + 1):
-        nxt = dare_step(p_riccati, abar, bbar, q_weight, r_weight)
-        # Frobenius norms as in np.linalg.norm, without its dispatch.
-        d, p = (nxt - p_riccati).ravel(), p_riccati.ravel()
-        residual = math.sqrt(d @ d) / (1.0 + math.sqrt(p @ p))
-        p_riccati = nxt
+        p_riccati, _, residual = dare_step(p_riccati, abar, bbar, q_weight,
+                                           r_weight)
         if residual < tol:
             break
-    return p_riccati, it, float(residual)
-
-
-def feedback_gain(p_riccati: np.ndarray, abar: np.ndarray, bbar: np.ndarray,
-                  r_weight: np.ndarray) -> np.ndarray:
-    """K_f = (R + B'PB)^{-1} B'PA."""
-    s = r_weight + bbar.T @ p_riccati @ bbar
-    return np.linalg.solve(s, bbar.T @ p_riccati @ abar)
+    return p_riccati, it, residual
 
 
 def update_theta(theta: np.ndarray, delta_theta: np.ndarray, ybar: np.ndarray,
@@ -233,7 +229,7 @@ class SprcController:
     update and fits its load harmonics. The first `ident_duration_s` of a
     run excite the basis amplitudes with seeded random phases while
     feedback is off; afterwards each wrap also triggers predictor
-    assembly, projection, DARE iteration and the theta update, and the new
+    assembly, projection, one Riccati step and the theta update, and the new
     sequence is swapped in for the next rotation.
     The run supplies the basis harmonics, the sample time and the
     excitation seed; `config` holds only the tuning.
@@ -261,7 +257,7 @@ class SprcController:
         self.delta_ybar = np.zeros(nb)
         self._q = np.eye(3 * nb) * config.q_weight
         self._r = np.eye(nb) * config.r_weight
-        self.p_riccati = self._q  # solve_dare copies p0; _q is never mutated
+        self.p_riccati = self._q  # dare_step returns a new P; _q stays
         self._rng = np.random.default_rng(excitation_seed)
         self._prev_azimuth = -math.inf
         # (psi, u1, u2, y1, y2) of every sample since the last boundary.
@@ -324,7 +320,6 @@ class SprcController:
             self.ybar = ybar
 
         residual = gain_norm = math.nan
-        iterations = 0
         if self._sample * self.ts < self.config.ident_duration_s:
             self._set_theta(self._excitation(), np.zeros_like(self.theta))
         elif not self._had_control_rotation:
@@ -334,15 +329,14 @@ class SprcController:
             self._had_control_rotation = True
         else:
             try:
-                iterations, residual, gain_norm = self._synthesize()
+                residual, gain_norm = self._synthesize()
             except (NumericError, np.linalg.LinAlgError):
                 # Fail safe: hold the last good theta and mark the rotation.
                 fault = True
         self.telemetry.append(RotationTelemetry(
             time_s=self._sample * self.ts, theta=self.theta.copy(),
             delta_theta_norm=float(np.linalg.norm(self.delta_theta)),
-            dare_residual=residual, dare_iterations=iterations,
-            gain_norm=gain_norm, fault=fault))
+            dare_residual=residual, gain_norm=gain_norm, fault=fault))
 
     def _estimate_ybar(self, angles: np.ndarray,
                        loads: np.ndarray) -> np.ndarray | None:
@@ -367,23 +361,22 @@ class SprcController:
         coeffs, *_ = np.linalg.lstsq(design, loads, rcond=None)
         return coeffs[:-1].ravel()
 
-    def _synthesize(self) -> tuple[int, float, float]:
-        """Commit the next theta and P; returns the DARE iterations, the
-        DARE residual and the gain norm.
+    def _synthesize(self) -> tuple[float, float]:
+        """Commit the next theta and P after one Riccati step from the last
+        rotation's P; returns the step's residual and the gain norm.
 
         Raises NumericError or LinAlgError with all state unchanged."""
         cfg = self.config
         lp = assemble_predictor(self.markov.estimate, cfg.past_window,
                                 self.period, N_BLADES, N_BLADES)
         abar, bbar = project_predictor(lp, self.basis)
-        p_r, iterations, residual = solve_dare(
-            abar, bbar, self._q, self._r, p0=self.p_riccati,
-            max_iterations=cfg.dare_iterations)
-        kf = feedback_gain(p_r, abar, bbar, self._r)
+        p_r, kf, residual = dare_step(self.p_riccati, abar, bbar, self._q,
+                                      self._r)
         theta, dtheta = update_theta(self.theta, self.delta_theta, self.ybar,
                                      self.delta_ybar, kf, cfg.alpha, cfg.beta)
-        if not np.all(np.isfinite(theta)):
-            raise NumericError("non-finite theta")
+        # The residual is finite only if the next P is.
+        if not (math.isfinite(residual) and np.all(np.isfinite(theta))):
+            raise NumericError("non-finite Riccati step or theta")
         self.p_riccati = p_r
         self._set_theta(theta, dtheta)
-        return iterations, residual, float(np.linalg.norm(kf))
+        return residual, float(np.linalg.norm(kf))

@@ -22,7 +22,6 @@ class SprcConfig:
     r_weight: float = 3.0
     alpha: float = 1.0
     beta: float = 0.5
-    dare_iterations: int = 50
     ident_duration_s: float = 30.0
     excitation_amplitude_deg: float = 1.5
     period_fraction: float = 0.9
@@ -30,8 +29,6 @@ class SprcConfig:
     def __post_init__(self):
         for name, ok, rule in (
                 ("past_window", self.past_window >= 1, "be at least 1"),
-                ("dare_iterations", self.dare_iterations >= 1,
-                 "be at least 1"),
                 ("forgetting", 0.0 < self.forgetting <= 1.0, "lie in (0, 1]"),
                 ("period_fraction", 0.0 < self.period_fraction <= 1.0,
                  "lie in (0, 1]"),
@@ -51,16 +48,15 @@ class SprcConfig:
 class RotationTelemetry:
     """Per-rotation controller telemetry, built once at the boundary.
 
-    `dare_residual` and `gain_norm` are NaN, and `dare_iterations` is 0, on
-    a rotation that synthesized nothing: an identification rotation, the
-    first control rotation, or a failed synthesis. `fault` flags a failed
-    synthesis or a refused fold row.
+    `dare_residual` is the rotation's Riccati step residual. It and
+    `gain_norm` are NaN on a rotation that synthesized nothing: an
+    identification rotation, the first control rotation, or a failed
+    synthesis. `fault` flags a failed synthesis or a refused fold row.
     """
 
     time_s: float
     theta: np.ndarray
     delta_theta_norm: float
     dare_residual: float
-    dare_iterations: int
     gain_norm: float
     fault: bool

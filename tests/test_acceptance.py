@@ -20,7 +20,7 @@ from sprclab.plant import (LoadModel, TurbineParams, TurbineState,
 from sprclab.spectral import loglog_slope, welch_psd
 from sprclab.sprc import (SprcConfig, SprcController, assemble_predictor,
                           build_basis, control_sample, dare_step,
-                          feedback_gain, project_predictor, solve_dare)
+                          project_predictor, solve_dare)
 from sprclab.sysid import (DeltaBuffer, MarkovEstimate, batch_solve,
                            choose_past_window)
 
@@ -110,11 +110,10 @@ def test_criterion_04_dare_correctness():
     nb = basis.n_params
     Q, R = np.eye(3 * nb), 10.0 * np.eye(nb)
     p_sol, _, _ = solve_dare(abar, bbar, Q, R, tol=1e-14)
-    nxt = dare_step(p_sol, abar, bbar, Q, R)
+    nxt, kf, _ = dare_step(p_sol, abar, bbar, Q, R)
     residual = (np.linalg.norm(nxt - p_sol, "fro")
                 / np.linalg.norm(p_sol, "fro"))
     assert residual < 1e-8, f"DARE fixed-point residual {residual:.2e}"
-    kf = feedback_gain(p_sol, abar, bbar, R)
     assert np.max(np.abs(np.linalg.eigvals(abar - bbar @ kf))) < 1.0
 
     a, b, q, r = 0.9, 1.0, 1.0, 1.0

@@ -149,7 +149,8 @@ MALFORMED = {
         {"time_s": 6.0, "kind": "wind_mean", "value": 5.0},
         {"time_s": -1.0, "kind": "collective_pitch", "value": 4.0}]},
     "sprc.past_window": {"sprc": {"past_window": 0}},
-    "sprc.dare_iterations": {"sprc": {"dare_iterations": 0}},
+    # A key of earlier versions, at a value they accepted: now unknown.
+    "sprc.dare_iterations": {"sprc": {"dare_iterations": 50}},
     "sprc.forgetting": {"sprc": {"forgetting": 1.5}},
     "sprc.period_fraction": {"sprc": {"period_fraction": 0.0}},
     "sprc.alpha": {"sprc": {"alpha": 2.0}},
@@ -170,6 +171,12 @@ MALFORMED = {
     "cipc.pitch_limit_deg": {"cipc": {"pitch_limit_deg": -1.0}},
     # A second plant.ts case; the text after the space only labels it.
     "plant.ts below 200 Hz": {"plant": {"ts": 0.01}},
+    # Time constants shorter than one sample, whose lags would overshoot.
+    "plant.rotor.tau_s below ts": {"plant": {"rotor": {"tau_s": 0.001}}},
+    "plant.wind_lowpass_tau_s below ts": {"plant": {
+        "wind_lowpass_tau_s": 0.002}},
+    # 1.2e11 samples, refused before a run allocates them.
+    "plant.ts of 1 ns": {"plant": {"ts": 1e-9}},
 }
 
 

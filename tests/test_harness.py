@@ -94,6 +94,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds.wind"):
             ExperimentConfig.from_dict({"seeds": {"wind": 1.0}})
 
+    def test_sample_count_bounded_before_allocation(self):
+        with pytest.raises(ValueError, match=r"^plant\.ts: .* more than "
+                           r"10000000$"):
+            ExperimentConfig(duration=12.0,
+                             plant=TurbineParams(ts=1e-6))
+        ExperimentConfig(duration=50_000.0)  # exactly 10**7 samples
+
     def test_unsupported_schema_rejected(self):
         data = ExperimentConfig().to_dict()
         data["schema_version"] = 99

@@ -222,6 +222,18 @@ class TestTurbineSurrogate:
         with pytest.raises(ValueError):
             TurbineParams(ts=0.0)
 
+    def test_time_constant_below_one_sample_rejected(self):
+        # ts / tau above 1 would make a lag overshoot its target; a time
+        # constant of exactly one sample moves all the way in one step.
+        for kwargs, name in (({"rotor": RotorModel(tau_s=0.004)},
+                              "rotor.tau_s"),
+                             ({"wind_lowpass_tau_s": 0.004},
+                              "wind_lowpass_tau_s")):
+            with pytest.raises(ValueError, match=rf"^{name}: must be at "
+                               rf"least ts \(0\.005 s\)"):
+                TurbineParams(**kwargs)
+        TurbineParams(wind_lowpass_tau_s=0.005, rotor=RotorModel(tau_s=0.005))
+
     def test_reproducible_with_equal_seeds(self):
         params = TurbineParams()
         out = []
