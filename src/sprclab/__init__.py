@@ -16,17 +16,8 @@ __all__ = [
     "actuator_duty", "run_experiment", "variance_reduction",
     "StateSpaceModel", "TurbineParams", "TurbineState",
     "make_benchmark_plant", "simulate_lti", "turbine_step",
-    "SprcConfig", "SprcController", "build_basis", "control_sample",
-    "GridMode", "WindSeries", "generate", "turbulence_intensity",
+    "SprcConfig", "GridMode", "WindSeries", "generate", "turbulence_intensity",
 ]
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    """Resolve the names of `sprclab.sprc` on first use (PEP 562): that
-    module imports scipy.linalg, which only an SPRC run needs."""
-    if name in ("SprcController", "build_basis", "control_sample"):
-        from . import sprc
-        return getattr(sprc, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,26 +13,6 @@ import math
 from dataclasses import dataclass
 
 
-def _blade_trig(azimuth: float) -> tuple[float, float, float, float]:
-    """cos and sin of blade 1 at psi, then of blade 2 at psi + pi."""
-    return (math.cos(azimuth), math.sin(azimuth),
-            math.cos(azimuth + math.pi), math.sin(azimuth + math.pi))
-
-
-def coleman_forward(loads, azimuth: float) -> tuple[float, float]:
-    """Fixed-frame (tilt, yaw) moments from two blade loads at psi, psi+pi."""
-    m1, m2 = loads
-    c1, s1, c2, s2 = _blade_trig(azimuth)
-    return float(m1 * c1 + m2 * c2), float(m1 * s1 + m2 * s2)
-
-
-def coleman_inverse(tilt_cmd: float, yaw_cmd: float,
-                    azimuth: float) -> tuple[float, float]:
-    """Per-blade pitch from fixed-frame commands; blade 2 sits at psi+pi."""
-    c1, s1, c2, s2 = _blade_trig(azimuth)
-    return tilt_cmd * c1 + yaw_cmd * s1, tilt_cmd * c2 + yaw_cmd * s2
-
-
 @dataclass(frozen=True)
 class CipcConfig:
     """PI and notch tuning; gains are fixed across all scenarios.
@@ -115,8 +95,7 @@ class CipcController:
         """One control sample; omega (rad/s) sets the 2P notch center.
 
         `loads` is any pair of floats, and so is the returned command. The
-        step applies `coleman_forward` and `coleman_inverse` inline, so
-        the blade angles' cos and sin are evaluated once.
+        Coleman transform and its inverse share each blade's cos and sin.
         """
         m1, m2 = loads
         c1, s1 = math.cos(azimuth), math.sin(azimuth)

@@ -63,15 +63,20 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                 raise ValueError(f"{key}: set per cell by the sweep grid, "
                                  f"not by the base config")
     seeds = base.seeds if args.seed is None else _seeds(args.seed)
-    controllers = ["none"] + list(args.controllers)
-    records: dict = {}
-    for controller in controllers:
-        cells = {}
-        for config in harness.sweep_configs(controller, seeds, base):
-            record = harness.run_experiment(config)
-            cells[(config.mode, config.mean_wind)] = record
-        records[controller] = cells
-    table = harness.compare_table(records)
+    table = {"modes": list(harness.SWEEP_MODES),
+             "speeds": list(harness.SWEEP_SPEEDS),
+             "reductions": {c: {} for c in args.controllers},
+             "pitch_variance": {c: {} for c in args.controllers}}
+    # Cell by cell, so that no earlier cell's records are kept.
+    for cell in harness.sweep_configs("none", seeds, base):
+        baseline = harness.run_experiment(cell)
+        label = f"{cell.mode}@{cell.mean_wind}"
+        for c in args.controllers:
+            record = harness.run_experiment(replace(cell, controller=c))
+            table["reductions"][c][label] = harness.variance_reduction(
+                baseline, record)["pooled"]
+            table["pitch_variance"][c][label] = float(
+                np.mean(harness.actuator_duty(record)))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep_table.json", "w") as fh:

@@ -97,6 +97,17 @@ class ExperimentConfig:
                 raise ValueError(f"events[{i}].time_s: must lie in "
                                  f"[0, duration)")
         windfield.GridMode.from_label(self.mode)
+        if self.controller in ("sprc-1p", "sprc-1p2p"):
+            # Refused here, by name, before a run synthesizes its wind.
+            rotation = _rotation_samples(self)
+            period = self.sprc.period(rotation)
+            got = f"got {period} samples of a {rotation:.6g}-sample rotation"
+            if period <= 8:
+                raise ValueError(f"sprc.period_fraction: the basis needs a "
+                                 f"period of more than 8 samples, {got}")
+            if period <= self.sprc.past_window:
+                raise ValueError(f"sprc.past_window: must be less than the "
+                                 f"period, {got}")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **encode(self)}
@@ -171,7 +182,14 @@ class NullController:
         return 0.0, 0.0
 
 
-def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
+def _rotation_samples(config: ExperimentConfig) -> float:
+    """Samples per revolution at the run's initial rotor speed."""
+    state = TurbineState.initial(config.plant, config.mean_wind,
+                                 config.collective_pitch_deg)
+    return 2.0 * np.pi / state.omega / config.plant.ts
+
+
+def _make_controller(config: ExperimentConfig):
     if config.controller == "none":
         return NullController()
     if config.controller == "cipc":
@@ -180,7 +198,7 @@ def _make_controller(config: ExperimentConfig, nominal_rotation_samples: float):
     # other controller needs.
     from .sprc import SprcController
     harmonics = (1,) if config.controller == "sprc-1p" else (1, 2)
-    return SprcController(config.sprc, nominal_rotation_samples,
+    return SprcController(config.sprc, _rotation_samples(config),
                           harmonics=harmonics, ts=config.plant.ts,
                           excitation_seed=config.seeds.excitation)
 
@@ -200,8 +218,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
     state = TurbineState.initial(params, config.mean_wind,
                                  config.collective_pitch_deg)
-    nominal_rotation = 2.0 * np.pi / state.omega / ts  # samples per rev
-    controller = _make_controller(config, nominal_rotation)
+    controller = _make_controller(config)
     rotor = open_loop(params, state, wind, collective,
                       np.random.default_rng(config.seeds.noise))
 
@@ -349,34 +366,6 @@ def sweep_configs(controller: str, seeds: Seeds,
     return [replace(base, mode=mode, mean_wind=speed, controller=controller,
                     seeds=seeds)
             for mode in SWEEP_MODES for speed in SWEEP_SPEEDS]
-
-
-def compare_table(records: dict[str, dict[tuple[str, float], ExperimentRecord]]
-                  ) -> dict:
-    """Variance-reduction grid over modes x speeds for each controller.
-
-    `records` maps controller name -> {(mode, speed): record}; the "none"
-    entry provides the matched baselines.
-    """
-    baselines = records.get("none")
-    if baselines is None:
-        raise ValueError("compare_table requires baseline ('none') records")
-    table: dict = {"modes": list(SWEEP_MODES), "speeds": list(SWEEP_SPEEDS),
-                   "reductions": {}, "pitch_variance": {}}
-    for name, cells in records.items():
-        if name == "none":
-            continue
-        reductions, duties = {}, {}
-        for key, record in cells.items():
-            baseline = baselines.get(key)
-            if baseline is None:
-                continue
-            label = f"{key[0]}@{key[1]}"
-            reductions[label] = variance_reduction(baseline, record)["pooled"]
-            duties[label] = float(np.mean(actuator_duty(record)))
-        table["reductions"][name] = reductions
-        table["pitch_variance"][name] = duties
-    return table
 
 
 def wind_stats(series: windfield.WindSeries) -> dict:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack, solve_triangular
 
 from .plant import N_BLADES, TS_DEFAULT
@@ -100,8 +100,8 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     """Build the lifted predictor from the Markov estimate alone.
 
     Markov block q (lag q + 1) fills block subdiagonal q + 1 of Gt and H,
-    and the top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t,
-    written by index on (P, l, P, .) views of the lifted matrices.
+    and the top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t:
+    each of the four is a block-Toeplitz view of one zero-padded sequence.
     """
     p, P, r, l = past_window, period, n_inputs, n_outputs
     if P < p:
@@ -109,39 +109,29 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     if markov.shape != (l, (r + l) * p):
         raise ValueError("Markov matrix has the wrong shape")
 
-    # Blocks indexed by lag - 1: the Markov matrix stores the oldest first.
-    mu = markov[:, :r * p].reshape(l, p, r).transpose(1, 0, 2)[::-1]
-    my = markov[:, r * p:].reshape(l, p, l).transpose(1, 0, 2)[::-1]
-    (si, sj, sq), (ci, cj, cq) = _lift_pattern(P, p)
-
-    ht = np.zeros((P, l, P, r))
-    gt = np.zeros((P, l, P, l))
-    gku_t = np.zeros((P, l, P, r))
-    gky_t = np.zeros((P, l, P, l))
-    ht[si, :, sj, :] = mu[sq]
-    gt[si, :, sj, :] = my[sq]
-    gku_t[ci, :, cj, :] = mu[cq]
-    gky_t[ci, :, cj, :] = my[cq]
-    return LiftedPredictor(ig=np.eye(l * P) - gt.reshape(l * P, l * P),
-                           gku_t=gku_t.reshape(l * P, r * P),
-                           gky_t=gky_t.reshape(l * P, l * P),
-                           ht=ht.reshape(l * P, r * P))
+    # (l, p, .) blocks, oldest first, as the Markov matrix stores them.
+    mu = markov[:, :r * p].reshape(l, p, r)
+    my = markov[:, r * p:].reshape(l, p, l)
+    return LiftedPredictor(ig=np.eye(l * P) - _block_toeplitz(my, P, 1),
+                           gku_t=_block_toeplitz(mu, P, 1 - P),
+                           gky_t=_block_toeplitz(my, P, 1 - P),
+                           ht=_block_toeplitz(mu, P, 1))
 
 
-@lru_cache(maxsize=8)
-def _lift_pattern(period: int, past_window: int):
-    """Block (row, column, lag - 1) indices of the strict subdiagonals
-    1..p and of the top-right corner blocks; a run rebuilds its predictor
-    on every rotation with the same (P, p)."""
-    i, j = np.indices((period, period))
-    lag = i - j
-    sub = (lag >= 1) & (lag <= past_window)
-    top = -lag >= period - past_window
-    pattern = ((i[sub], j[sub], lag[sub] - 1),
-               (i[top], j[top], period - 1 + lag[top]))
-    for index in (*pattern[0], *pattern[1]):
-        index.setflags(write=False)
-    return pattern
+def _block_toeplitz(blocks: np.ndarray, period: int,
+                    first_lag: int) -> np.ndarray:
+    """(l P) x (m P) matrix whose block (i, j) is the lag-(q + 1) block of
+    the (l, p, m) `blocks`, oldest first, where i - j = first_lag + q, else 0.
+
+    The blocks sit in one zero sequence down the diagonals P to 1 - P, and
+    block row i is its window of P entries from diagonal i, so each row of
+    the result is one contiguous run of it. Diagonal P, outside the matrix,
+    holds the lag-P block when p = P and first_lag = 1."""
+    l, p, m = blocks.shape
+    diagonals = np.zeros((l, 2 * period, m))
+    diagonals[:, period + 1 - first_lag - p:period + 1 - first_lag] = blocks
+    rows = sliding_window_view(diagonals[:, 1:], period, axis=1)[:, ::-1]
+    return rows.transpose(1, 0, 3, 2).reshape(l * period, m * period)
 
 
 def project_predictor(lp: LiftedPredictor,
@@ -243,8 +233,7 @@ class SprcController:
         self.ts = ts
         if nominal_rotation_samples <= 0:
             raise ValueError("nominal rotation period must be positive")
-        self.period = int(np.floor(config.period_fraction
-                                   * nominal_rotation_samples))
+        self.period = config.period(nominal_rotation_samples)
         if self.period <= max(8, config.past_window):
             raise ValueError("rotation period too short for the basis/window")
         r = N_BLADES
@@ -255,7 +244,7 @@ class SprcController:
                                      forgetting=config.forgetting)
         self.ybar = np.zeros(nb)
         self.delta_ybar = np.zeros(nb)
-        self._q = np.eye(3 * nb) * config.q_weight
+        self._q = np.eye(3 * nb)  # Q = I: K_f depends on R relative to Q
         self._r = np.eye(nb) * config.r_weight
         self.p_riccati = self._q  # dare_step returns a new P; _q stays
         self._rng = np.random.default_rng(excitation_seed)
@@ -294,7 +283,10 @@ class SprcController:
         the whole rotation at once. u is `control_sample` on Python floats.
         """
         if azimuth < self._prev_azimuth:
-            self._on_rotation_boundary()
+            # An overflow is refused below: the fold drops non-finite rows,
+            # synthesis raises NumericError and the metrics are checked.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._on_rotation_boundary()
         self._prev_azimuth = azimuth
 
         u1 = u2 = 0.0

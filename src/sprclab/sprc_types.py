@@ -18,7 +18,6 @@ class SprcConfig:
 
     past_window: int = 20
     forgetting: float = 0.99999
-    q_weight: float = 1.0
     r_weight: float = 3.0
     alpha: float = 1.0
     beta: float = 0.5
@@ -34,7 +33,6 @@ class SprcConfig:
                  "lie in (0, 1]"),
                 ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
                 ("beta", 0.0 <= self.beta <= 1.0, "lie in [0, 1]"),
-                ("q_weight", self.q_weight >= 0.0, "be non-negative"),
                 ("r_weight", self.r_weight > 0.0, "be positive"),
                 ("ident_duration_s", self.ident_duration_s >= 0.0,
                  "be non-negative"),
@@ -42,6 +40,10 @@ class SprcConfig:
                  self.excitation_amplitude_deg >= 0.0, "be non-negative")):
             if not ok:
                 raise ValueError(f"{name}: must {rule}")
+
+    def period(self, rotation_samples: float) -> int:
+        """The controller's period (samples) for a rotation that long."""
+        return int(np.floor(self.period_fraction * rotation_samples))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from sprclab.cipc import (CipcConfig, CipcController, coleman_forward,
-                          coleman_inverse)
+from sprclab.cipc import CipcConfig, CipcController
 
 TS = 1.0 / 200.0
 
@@ -64,40 +63,30 @@ class _ReferenceCipc:
 
 
 class TestColemanForward:
+    """The forward transform as CipcController.step applies it."""
+
     def test_symmetric_loads_invisible(self):
-        for psi in np.linspace(0.0, 2.0 * np.pi, 17):
-            tilt, yaw = coleman_forward(np.array([3.0, 3.0]), psi)
-            assert tilt == pytest.approx(0.0, abs=1e-12)
-            assert yaw == pytest.approx(0.0, abs=1e-12)
-
-    def test_direct_evaluation(self):
-        tilt, yaw = coleman_forward(np.array([1.0, 0.0]), 0.0)
-        assert tilt == pytest.approx(1.0)
-        assert yaw == pytest.approx(0.0, abs=1e-12)
-
-    def test_differential_1p_maps_to_dc_plus_2p(self):
-        # M1 - M2 = A cos(psi) produces tilt = A/2 (1 + cos 2psi): a DC
-        # component of A/2 plus a 2P ripple, which the notch removes.
-        A = 2.0
-        psi = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
-        tilt = np.array([coleman_forward(
-            np.array([0.5 * A * np.cos(p), -0.5 * A * np.cos(p)]), p)[0]
-            for p in psi])
-        np.testing.assert_allclose(tilt, 0.5 * A * (1.0 + np.cos(2.0 * psi)),
-                                   atol=1e-12)
-        assert tilt.mean() == pytest.approx(0.5 * A)
+        # Equal blade loads have no differential part: at every azimuth
+        # the tilt and yaw inputs, and so the command, stay at rounding.
+        ctrl = CipcController(ts=TS)
+        psi = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 5000)
+        u = [ctrl.step((3.0, 3.0), p, 24.0) for p in psi]
+        np.testing.assert_allclose(u, 0.0, atol=1e-12)
 
 
 class TestColemanInverse:
-    def test_zero_commands(self):
-        np.testing.assert_array_equal(coleman_inverse(0.0, 0.0, 1.3),
-                                      np.zeros(2))
+    """The inverse transform as CipcController.step applies it."""
 
     def test_blade_symmetry(self):
-        for psi in np.linspace(0.0, 2.0 * np.pi, 9):
-            b = coleman_inverse(0.7, -0.4, psi)
-            b_shift = coleman_inverse(0.7, -0.4, psi + np.pi)
-            assert b[1] == pytest.approx(b_shift[0], abs=1e-12)
+        # Blade 2 sits at psi + pi, so its command is blade 1's negated.
+        rng = np.random.default_rng(5)
+        n = 5000
+        ctrl = CipcController(ts=TS)
+        u = np.array([ctrl.step(tuple(y), psi, w) for y, psi, w in zip(
+            rng.standard_normal((n, 2)).tolist(),
+            rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(15.0, 35.0, n))])
+        np.testing.assert_allclose(u[:, 1], -u[:, 0], rtol=0.0,
+                                   atol=1e-12 * np.abs(u).max())
 
 
 class TestController:

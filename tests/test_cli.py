@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import sprclab
 from sprclab import harness, windfield
 from sprclab.cli import main
+from sprclab.harness import ExperimentConfig, Seeds
 from sprclab.spectral import welch_psd
 
 
@@ -155,7 +157,8 @@ MALFORMED = {
     "sprc.period_fraction": {"sprc": {"period_fraction": 0.0}},
     "sprc.alpha": {"sprc": {"alpha": 2.0}},
     "sprc.beta": {"sprc": {"beta": -0.5}},
-    "sprc.q_weight": {"sprc": {"q_weight": -1.0}},
+    # Q = I now; earlier versions accepted this weight.
+    "sprc.q_weight": {"sprc": {"q_weight": 2.0}},
     "sprc.r_weight": {"sprc": {"r_weight": -1.0}},
     "sprc.ident_duration_s": {"sprc": {"ident_duration_s": -5.0}},
     "sprc.excitation_amplitude_deg": {"sprc": {
@@ -177,6 +180,12 @@ MALFORMED = {
         "wind_lowpass_tau_s": 0.002}},
     # 1.2e11 samples, refused before a run allocates them.
     "plant.ts of 1 ns": {"plant": {"ts": 1e-9}},
+    # SPRC periods (0.9 of a 52-sample rotation at 5 m/s) that leave no
+    # room for the window or the basis, refused before the wind is made.
+    "sprc.past_window above the period": {"controller": "sprc-1p",
+                                          "sprc": {"past_window": 60}},
+    "sprc.period_fraction of 1e-9": {"controller": "sprc-1p",
+                                     "sprc": {"period_fraction": 1e-9}},
 }
 
 
@@ -202,6 +211,57 @@ def test_sweep_refuses_base_config_with_swept_key(tmp_path, capsys, key,
     assert rc == 1
     assert f"{key}:" in capsys.readouterr().err
     assert not (tmp_path / "sweep_table.json").exists()
+
+
+def test_sweep_table_holds_each_cells_matched_pair(tmp_path, capsys):
+    # Twelve cells per controller, in grid order; a cell's reduction and
+    # duty are those of its matched pair run directly, bit for bit.
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"duration": 12.0, "eval_start_s": 3.0}))
+    rc = main(["sweep", "--config", str(base), "--controllers", "sprc-1p",
+               "cipc", "--seed", "3", "--output", str(tmp_path)])
+    assert rc == 0
+    table = json.loads((tmp_path / "sweep_table.json").read_text())
+    labels = [f"{mode}@{speed}" for mode in harness.SWEEP_MODES
+              for speed in harness.SWEEP_SPEEDS]
+    for key in ("reductions", "pitch_variance"):
+        assert list(table[key]) == ["sprc-1p", "cipc"]
+        assert all(list(cells) == labels for cells in table[key].values())
+    cell = ExperimentConfig(mode="lidar", mean_wind=4.5, duration=12.0,
+                            eval_start_s=3.0, seeds=Seeds(3, 4, 5))
+    baseline, record = (harness.run_experiment(replace(cell, controller=c))
+                        for c in ("none", "cipc"))
+    assert (table["reductions"]["cipc"]["lidar@4.5"]
+            == harness.variance_reduction(baseline, record)["pooled"])
+    assert (table["pitch_variance"]["cipc"]["lidar@4.5"]
+            == float(np.mean(harness.actuator_duty(record))))
+
+
+# An overflow inside SPRC's per-rotation numerics, with warnings as errors:
+# the metrics refuse it by name, or the rotations fail safe and the run
+# completes.
+@pytest.mark.parametrize("controller, block, key, value, rc_want", [
+    ("sprc-1p", "loads", "amp_1p_nm", 1e300, 2),
+    ("sprc-1p2p", "loads", "wind_gain_nm_per_mps", -1e300, 2),
+    ("sprc-1p", "sprc", "excitation_amplitude_deg", 1e300, 2),
+    ("sprc-1p2p", "sprc", "forgetting", 1e-9, 0),
+])
+def test_sprc_overflow_exits_without_warnings(tmp_path, capsys, controller,
+                                              block, key, value, rc_want):
+    sprc = {"ident_duration_s": 2.0}  # synthesis from 2 s on
+    config = {"controller": controller, "duration": 12.0,
+              "eval_start_s": 3.0, "sprc": sprc}
+    if block == "sprc":
+        sprc[key] = value
+    else:
+        config["plant"] = {"loads": {key: value}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(path), "--output", str(tmp_path)])
+    assert rc == rc_want
+    if rc_want == 2:
+        assert ("numeric failure: load_variance: not finite"
+                in capsys.readouterr().err)
 
 
 def test_exported_config_reruns_identically(tmp_path, capsys):
@@ -292,22 +352,6 @@ def test_psd_missing_column_is_config_error(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    # scipy.signal would pull in scipy.stats, .interpolate and .optimize,
-    # about twice the modules and resident memory of the whole program.
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
-             "scipy.optimize"]
-    code = ("import sys, sprclab.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
-    # The fresh interpreter imports the same sprclab as this one.
-    src = str(Path(sprclab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.strip() == "[]"
-
-
 def _fresh_python(code: str) -> str:
     """Standard output of `code` run by a fresh interpreter that imports
     the same sprclab as this one."""
@@ -316,6 +360,16 @@ def _fresh_python(code: str) -> str:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True).stdout
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.signal would pull in scipy.stats, .interpolate and .optimize,
+    # about twice the modules and resident memory of the whole program.
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
+             "scipy.optimize"]
+    code = ("import sys, sprclab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_only_sprc_runs_load_scipy(tmp_path):
@@ -344,12 +398,14 @@ print("scipy.linalg" in scipy_modules())
 
 
 def test_public_names_resolve():
-    # The SPRC names resolve on first use; the config types are one object
-    # whichever module they are taken from.
-    from sprclab import sprc, sprc_types
-    for name in sprclab.__all__:
-        assert getattr(sprclab, name) is not None
-    assert sprclab.SprcConfig is sprc.SprcConfig is sprc_types.SprcConfig
-    assert sprclab.SprcController is sprc.SprcController
-    with pytest.raises(AttributeError):
-        sprclab.no_such_name
+    # Every public name resolves without loading SciPy, and the config
+    # type is one object whichever module it is taken from.
+    code = """
+import sys, sprclab
+for name in sprclab.__all__:
+    getattr(sprclab, name)
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+from sprclab import sprc
+print(sprclab.SprcConfig is sprc.SprcConfig)
+"""
+    assert _fresh_python(code).split("\n")[:2] == ["[]", "True"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sprclab import harness
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, SeedMismatchError,
-                             Seeds, actuator_duty, compare_table, run_experiment,
+                             Seeds, actuator_duty, run_experiment,
                              sweep_configs, variance_reduction, wind_stats)
 from sprclab.cipc import CipcConfig
 from sprclab.plant import LoadModel, RotorModel, TurbineParams
@@ -347,24 +347,6 @@ class TestSweep:
         cells = {(c.mode, c.mean_wind) for c in configs}
         assert len(cells) == 12
         assert all(c.controller == "cipc" for c in configs)
-
-    def test_compare_table_shape(self):
-        seeds = Seeds()
-        base = _fast_config()
-        records = {}
-        for controller in ("none", "cipc"):
-            cells = {}
-            for config in sweep_configs(controller, seeds, base):
-                cells[(config.mode, config.mean_wind)] = run_experiment(config)
-            records[controller] = cells
-        table = compare_table(records)
-        assert set(table["reductions"]) == {"cipc"}
-        assert len(table["reductions"]["cipc"]) == 12
-        assert len(table["pitch_variance"]["cipc"]) == 12
-
-    def test_compare_table_requires_baseline(self):
-        with pytest.raises(ValueError):
-            compare_table({"cipc": {}})
 
 
 class TestWindStats:

@@ -351,6 +351,31 @@ class TestDare:
         # The chain exercises the cold start, the warm starts and the bound.
         assert 50 in counts and min(counts) < 50 and max(counts) > 50
 
+    @pytest.mark.parametrize("c", [2.0, 3.0])
+    def test_gain_independent_of_weight_scale(self, c):
+        # Scaling P, Q and R by c scales P_next by c and leaves K_f, so the
+        # gain needs no Q weight beside R: exactly for a power of two,
+        # within rounding otherwise.
+        basis = build_basis(46, 2)
+        nb = basis.n_params
+        abar, bbar = project_predictor(assemble_predictor(
+            _contracting_markov(np.random.default_rng(9), 20, 2), 20, 46, 2,
+            2), basis)
+        q, r = np.eye(3 * nb), 3.0 * np.eye(nb)
+        p_riccati = q
+        for _ in range(5):  # a P away from Q
+            p_riccati = dare_step(p_riccati, abar, bbar, q, r)[0]
+        p_next, kf, _ = dare_step(p_riccati, abar, bbar, q, r)
+        p_scaled, kf_scaled, _ = dare_step(c * p_riccati, abar, bbar, c * q,
+                                           c * r)
+        if c == 2.0:
+            np.testing.assert_array_equal(p_scaled, c * p_next)
+            np.testing.assert_array_equal(kf_scaled, kf)
+        np.testing.assert_allclose(p_scaled, c * p_next, rtol=1e-13,
+                                   atol=1e-13 * c * np.abs(p_next).max())
+        np.testing.assert_allclose(kf_scaled, kf, rtol=1e-13,
+                                   atol=1e-13 * np.abs(kf).max())
+
     def test_singular_gain_matrix_raises_linalg_error(self):
         # The controller's fail-safe catches LinAlgError from the solve.
         with pytest.raises(np.linalg.LinAlgError):
@@ -580,7 +605,7 @@ class TestRotationTelemetry:
         ctrl = SprcController(cfg, per_rev)
         rng = np.random.default_rng(5)
         nb = ctrl.basis.n_params
-        q, r = np.eye(3 * nb) * cfg.q_weight, np.eye(nb) * cfg.r_weight
+        q, r = np.eye(3 * nb), np.eye(nb) * cfg.r_weight
         k = checked = 0
         while checked < 2:
             rotations = len(ctrl.telemetry)
