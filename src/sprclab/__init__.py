@@ -7,7 +7,7 @@ from .harness import (ExperimentConfig, ExperimentRecord, ScenarioEvent,
                       Seeds, actuator_duty, run_experiment,
                       variance_reduction)
 from .plant import (StateSpaceModel, TurbineParams, TurbineState,
-                    make_benchmark_plant, simulate_lti, turbine_step)
+                    make_benchmark_plant, simulate_lti)
 from .sprc_types import SprcConfig
 from .windfield import GridMode, WindSeries, generate, turbulence_intensity
 
@@ -15,7 +15,7 @@ __all__ = [
     "ExperimentConfig", "ExperimentRecord", "ScenarioEvent", "Seeds",
     "actuator_duty", "run_experiment", "variance_reduction",
     "StateSpaceModel", "TurbineParams", "TurbineState",
-    "make_benchmark_plant", "simulate_lti", "turbine_step",
+    "make_benchmark_plant", "simulate_lti",
     "SprcConfig", "GridMode", "WindSeries", "generate", "turbulence_intensity",
 ]
 

@@ -18,9 +18,10 @@ import numpy as np
 from . import windfield
 from .cipc import CipcConfig, CipcController
 from .codec import decode, encode
-from .plant import (N_BLADES, RPM_TO_RADS, TurbineParams, TurbineState,
-                    float_rows, open_loop)
-from .spectral import band_power, loglog_slope, welch_psd
+from .plant import (RPM_TO_RADS, TurbineParams, TurbineState, close_loop,
+                    open_loop)
+from .spectral import (SEGMENT_SAMPLES, band_power, loglog_slope,
+                       welch_psd)
 from .sprc_types import RotationTelemetry, SprcConfig
 
 SCHEMA_VERSION = 1
@@ -88,6 +89,12 @@ class ExperimentConfig:
         if samples > MAX_SAMPLES:  # refused before a run allocates them
             raise ValueError(f"plant.ts: {self.plant.ts:g} s makes {samples} "
                              f"samples, more than {MAX_SAMPLES}")
+        # The rotor never turns slower than its floor, so this bounds every
+        # rotation, and with it the CIPC notch and the SPRC period.
+        min_rpm = self.plant.rotor.min_rpm
+        if 60.0 / (min_rpm * self.plant.ts) > MAX_SAMPLES:
+            raise ValueError(f"plant.rotor.min_rpm: {min_rpm:g} rpm makes a "
+                             f"rotation longer than {MAX_SAMPLES} samples")
         if not 0.0 < self.mean_wind < np.inf:
             raise ValueError("mean_wind: must be positive and finite")
         if not 0.0 <= self.eval_start_s < self.duration:
@@ -108,6 +115,10 @@ class ExperimentConfig:
             if period <= self.sprc.past_window:
                 raise ValueError(f"sprc.past_window: must be less than the "
                                  f"period, {got}")
+            if period > samples:
+                raise ValueError(f"duration: {self.duration:g} s makes "
+                                 f"{samples} samples, fewer than the "
+                                 f"controller period, {got}")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **encode(self)}
@@ -206,9 +217,9 @@ def _make_controller(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run one deterministic experiment and compute its metrics.
 
-    Everything the pitch command does not reach is computed before the
-    loop (`plant.open_loop`); the loop closes it through the controller and
-    the servo lag, in the summation order of `plant.turbine_step`.
+    Everything the pitch command does not reach is computed first
+    (`plant.open_loop`); `plant.close_loop` then runs the controller
+    through the servo lag.
     """
     params = config.plant
     ts = params.ts
@@ -222,30 +233,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     rotor = open_loop(params, state, wind, collective,
                       np.random.default_rng(config.seeds.noise))
 
-    a = params.servo_pole
-    lag = 1.0 - a
-    gain = params.loads.pitch_gain_nm_per_deg
-    servo1, servo2 = state.servo_pitch.tolist()
-    pitch = np.zeros((n, N_BLADES))
-    loads = np.zeros((n, N_BLADES))
-    # Element writes of Python floats through memoryviews: a numpy row
-    # write per sample would cost more than the servo and load update.
-    pitch_out, loads_out = memoryview(pitch), memoryview(loads)
-    step = controller.step
-    y1 = y2 = 0.0  # the controller sees the previous sample's loads
-    # One plain float per blade, in flat columns: numpy's per-call cost on
-    # two-element arrays would be most of the loop's time.
-    for k, (psi, omega, coll, p1, p2, w1, w2, e1, e2) in enumerate(
-            float_rows(rotor.azimuth, rotor.omega, collective,
-                       *rotor.periodic.T, *rotor.wind_term.T,
-                       *rotor.noise.T)):
-        u1, u2 = step((y1, y2), psi, omega)
-        servo1 = a * servo1 + lag * (coll + u1)
-        servo2 = a * servo2 + lag * (coll + u2)
-        y1 = p1 + gain * (servo1 - coll) + w1 + e1
-        y2 = p2 + gain * (servo2 - coll) + w2 + e2
-        pitch_out[k, 0], pitch_out[k, 1] = u1, u2
-        loads_out[k, 0], loads_out[k, 1] = y1, y2
+    pitch, loads = close_loop(params, rotor, collective, state.servo_pitch,
+                              controller.step)
 
     record = ExperimentRecord(config=config, time=time, pitch=pitch,
                               loads=loads, azimuth=rotor.azimuth,
@@ -278,13 +267,30 @@ def _basic_metrics(record: ExperimentRecord) -> dict:
                    band_power(freqs, psd2, 1.7 * f_1p, 2.3 * f_1p)]
     except ValueError as exc:
         # Whether the window resolves the 1P and 2P bands depends on where
-        # the PSD bins fall, so it is only known once the run is done.
+        # the PSD bins fall, so it is only known once the run is done. A
+        # longer window helps only up to one Welch segment, and not with a
+        # 2P band (up to 2.3 f_1p) above the Nyquist frequency.
         config = record.config
-        raise ValueError(
-            f"duration {config.duration:g} s leaves a metric window of "
-            f"{len(loads) / record.rate:g} s from eval_start_s "
-            f"{config.eval_start_s:g} s, too short for the load spectra: "
-            f"{exc}") from None
+        rpm = (float(record.omega[window].mean()) / RPM_TO_RADS
+               if len(loads) else 0.0)
+        max_rpm = 60.0 * record.rate / 2.0 / 2.3
+        if len(loads) < SEGMENT_SAMPLES and rpm <= max_rpm:
+            raise ValueError(
+                f"duration {config.duration:g} s leaves a metric window of "
+                f"{len(loads) / record.rate:g} s from eval_start_s "
+                f"{config.eval_start_s:g} s, too short for the load spectra: "
+                f"{exc}") from None
+        if rpm > max_rpm:
+            cause = (f"puts the 2P band above the {record.rate / 2.0:g} Hz "
+                     f"Nyquist frequency; the bands need at most "
+                     f"{max_rpm:.6g} rpm")
+        else:
+            # A 1P band (0.3 f_1p wide) two bins wide always holds two.
+            bin_hz = record.rate / SEGMENT_SAMPLES
+            cause = (f"is too slow for PSD bins of {bin_hz:.3g} Hz; the "
+                     f"bands need at least {60.0 * 2.0 * bin_hz / 0.3:.6g} rpm")
+        raise ValueError(f"mean_rotor_rpm: {rpm:.6g} rpm over the metric "
+                         f"window {cause}: {exc}") from None
     return {
         "eval_start_s": record.config.eval_start_s,
         "load_variance": [float(v) for v in loads.var(axis=0)],

@@ -3,14 +3,14 @@
 Two halves live here: a discrete innovation-form LTI model used as ground
 truth for identification tests, and a physics-lite two-bladed turbine with
 azimuth-periodic root-bending loads, a 15 Hz first-order pitch servo, and
-a first-order rotor-speed response. `turbine_step` advances the turbine
-one sample; `open_loop` computes ahead of a run everything of it that the
-pitch command does not reach, leaving only the servo lag to the loop.
+a first-order rotor-speed response. `open_loop` computes ahead of a run
+everything of it that the pitch command does not reach; `close_loop` then
+runs the controller, the servo lag and the pitch term of the loads, sample
+by sample.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -198,6 +198,8 @@ class RotorModel:
 
     Calibrated so (5 m/s, 2 deg collective) sits at 230 rpm with a pitch
     sensitivity matching a 30 rpm drop over an 8 deg collective step.
+    Generator torque only enters through that operating point (no
+    drivetrain elasticity).
     """
 
     tau_s: float = 2.0
@@ -252,7 +254,7 @@ class TurbineParams:
 
 @dataclass(frozen=True)
 class TurbineState:
-    """Value-semantics turbine state; stepping returns a new instance."""
+    """The turbine's state before a sample; a run starts from `initial`."""
 
     azimuth: float  # rad in [0, 2pi)
     omega: float  # rad/s
@@ -268,61 +270,6 @@ class TurbineState:
                    servo_pitch=np.full(N_BLADES, collective_deg),
                    collective_pitch=collective_deg,
                    wind_lp=wind_mps)
-
-
-def turbine_step(state: TurbineState, params: TurbineParams,
-                 pitch_cmd: np.ndarray, wind_sample: float,
-                 rng: np.random.Generator | None = None
-                 ) -> tuple[np.ndarray, TurbineState]:
-    """Advance the turbine one sample; returns (blade loads, new state).
-
-    Loads combine the azimuth-periodic Fourier content (scaled with the
-    slow wind level), the pitch-to-load gain acting on the lagged servo
-    pitch, the broadband wind fluctuation, and measurement noise.
-    """
-    ts = params.ts
-    pitch_cmd = np.asarray(pitch_cmd, dtype=float)
-    if pitch_cmd.shape != (N_BLADES,):
-        raise ValueError("pitch command must have one entry per blade")
-
-    lm = params.loads
-    # Servo: first-order lag toward the command.
-    a = params.servo_pole
-    servo = a * state.servo_pitch + (1.0 - a) * pitch_cmd
-
-    # Slow wind level for amplitude scaling and fluctuation reference.
-    b = ts / params.wind_lowpass_tau_s
-    wind_lp = state.wind_lp + b * (wind_sample - state.wind_lp)
-    amp_scale = (wind_lp / lm.wind_ref_mps) ** 2
-    fluctuation = wind_sample - wind_lp
-
-    # Blade 2 sits half a turn ahead; it is heavier and phase-shifted.
-    coll = state.collective_pitch
-    azimuths = (state.azimuth, state.azimuth + np.pi)
-    periodic = (lm.periodic_load(azimuths[0], coll, amp_scale),
-                lm.mean_nm + lm.blade2_amp_ratio
-                * (lm.periodic_load(azimuths[1] + lm.blade2_phase_shift_rad,
-                                    coll, amp_scale) - lm.mean_nm))
-    loads = np.array([
-        periodic[i] + lm.pitch_gain_nm_per_deg * (servo[i] - coll)
-        + lm.wind_gain_nm_per_mps
-        * (1.0 + lm.wind_1p_modulation * math.cos(az)) * fluctuation
-        for i, az in enumerate(azimuths)])
-    if rng is not None and lm.noise_std_nm > 0.0:
-        loads += lm.noise_std_nm * rng.standard_normal(N_BLADES)
-
-    # Rotor speed relaxes toward the affine steady state; generator torque
-    # only enters through that operating point (no drivetrain elasticity).
-    omega_ss = params.rotor.steady_rpm(wind_sample, state.collective_pitch)
-    omega_ss *= RPM_TO_RADS
-    omega = state.omega + ts / params.rotor.tau_s * (omega_ss - state.omega)
-
-    azimuth = state.azimuth + omega * ts
-    if azimuth >= 2.0 * np.pi:
-        azimuth -= 2.0 * np.pi
-
-    return loads, TurbineState(azimuth, omega, servo, state.collective_pitch,
-                               wind_lp)
 
 
 def float_rows(*columns: np.ndarray):
@@ -341,9 +288,8 @@ class OpenLoop:
     """The parts of a run the pitch command does not reach, per sample.
 
     Row k holds the rotor state before sample k and the terms of the
-    sample-k blade loads that do not depend on the servo pitch. Closing the
-    loop adds the servo term between `periodic` and `wind_term`, in the
-    summation order of `turbine_step`.
+    sample-k blade loads that do not depend on the servo pitch.
+    `close_loop` adds the servo term between `periodic` and `wind_term`.
     """
 
     azimuth: np.ndarray  # rad, N
@@ -355,16 +301,15 @@ class OpenLoop:
 
 def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
               collective: np.ndarray, rng: np.random.Generator) -> OpenLoop:
-    """What `turbine_step` computes from the wind and collective alone.
+    """What the turbine does under the wind and collective alone.
 
     The steady rotor speed reads only the inputs, so it is one array
     expression. The wind low-pass, rotor speed and azimuth are sequential,
     so they run as one scalar recursion on Python floats; the amplitude
-    scale is squared there too, because `**` on a float calls libm `pow` as
-    `turbine_step` does, while numpy's array `** 2` multiplies and can
-    differ in the last bit. The loads are then formed on whole arrays, and
-    the noise is one draw of all samples, which yields the same numbers as
-    one draw per sample.
+    scale is squared there too, because `**` on a float calls libm `pow`,
+    while numpy's array `** 2` multiplies and can differ in the last bit.
+    The loads are then formed on whole arrays, and the noise is one draw of
+    all samples, which yields the same numbers as one draw per sample.
     """
     ts = params.ts
     lm, rotor = params.loads, params.rotor
@@ -408,3 +353,40 @@ def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
         noise = np.zeros((len(wind), N_BLADES))
     return OpenLoop(azimuth=azimuths, omega=np.array(omegas),
                     periodic=periodic, wind_term=wind_term, noise=noise)
+
+
+def close_loop(params: TurbineParams, rotor: OpenLoop, collective: np.ndarray,
+               servo_pitch: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """Run the controller through the servo lag; returns (pitch, loads).
+
+    `step(loads, azimuth, omega)` sees the previous sample's blade loads
+    (zeros before the first) and returns the IPC pitch of both blades,
+    added to the collective. Each servo lags toward its command from
+    `servo_pitch`, and the loads add `gain * (servo - collective)` between
+    the open-loop `periodic` and `wind_term`. Both outputs are N x 2.
+    """
+    a = params.servo_pole
+    lag = 1.0 - a
+    gain = params.loads.pitch_gain_nm_per_deg
+    servo1, servo2 = servo_pitch.tolist()
+    n = len(collective)
+    pitch = np.zeros((n, N_BLADES))
+    loads = np.zeros((n, N_BLADES))
+    # Element writes of Python floats through memoryviews: a numpy row
+    # write per sample would cost more than the servo and load update.
+    pitch_out, loads_out = memoryview(pitch), memoryview(loads)
+    y1 = y2 = 0.0
+    # One plain float per blade, in flat columns: numpy's per-call cost on
+    # two-element arrays would be most of the loop's time.
+    for k, (psi, omega, coll, p1, p2, w1, w2, e1, e2) in enumerate(
+            float_rows(rotor.azimuth, rotor.omega, collective,
+                       *rotor.periodic.T, *rotor.wind_term.T,
+                       *rotor.noise.T)):
+        u1, u2 = step((y1, y2), psi, omega)
+        servo1 = a * servo1 + lag * (coll + u1)
+        servo2 = a * servo2 + lag * (coll + u2)
+        y1 = p1 + gain * (servo1 - coll) + w1 + e1
+        y2 = p2 + gain * (servo2 - coll) + w2 + e2
+        pitch_out[k, 0], pitch_out[k, 1] = u1, u2
+        loads_out[k, 0], loads_out[k, 1] = y1, y2
+    return pitch, loads

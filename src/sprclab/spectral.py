@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+SEGMENT_SAMPLES = 4096  # Welch segment; a longer series averages several
+
 
 def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -18,7 +20,8 @@ def welch_psd(series: np.ndarray, rate: float, segment_length: int | None = None
     if not 0.0 < rate < np.inf:
         raise ValueError(f"rate: must be positive and finite, got {rate:g}")
     series = np.asarray(series, dtype=float)
-    n = min(len(series), 4096) if segment_length is None else segment_length
+    n = (min(len(series), SEGMENT_SAMPLES) if segment_length is None
+         else segment_length)
     if n > len(series) or n < 8:
         raise ValueError("invalid segment length for series")
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)

@@ -15,8 +15,8 @@ from sprclab import windfield
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, Seeds,
                              actuator_duty, run_experiment, sweep_configs,
                              variance_reduction)
-from sprclab.plant import (LoadModel, TurbineParams, TurbineState,
-                           make_benchmark_plant, simulate_lti, turbine_step)
+from sprclab.plant import (LoadModel, TurbineParams, TurbineState, close_loop,
+                           make_benchmark_plant, open_loop, simulate_lti)
 from sprclab.spectral import loglog_slope, welch_psd
 from sprclab.sprc import (SprcConfig, SprcController, assemble_predictor,
                           build_basis, control_sample, dare_step,
@@ -132,20 +132,18 @@ def test_criterion_05_pure_periodic_rejection():
                                            wind_gain_nm_per_mps=0.0))
     ctrl = SprcController(SprcConfig(), NOMINAL_ROTATION_SAMPLES)
     steps = int(60.0 / params.ts)
+    # The run path's plant at constant wind and collective.
+    state = TurbineState.initial(params, 5.0)
+    collective = np.full(steps, 2.0)
+    rotor = open_loop(params, state, np.full(steps, 5.0), collective,
+                      np.random.default_rng(0))
 
-    def simulate(controlled):
-        state = TurbineState.initial(params, 5.0)
-        loads_log = np.zeros((steps, 2))
-        prev = np.zeros(2)
-        for k in range(steps):
-            u = 2.0 + (np.array(ctrl.step(prev, state.azimuth, state.omega))
-                       if controlled else np.zeros(2))
-            prev, state = turbine_step(state, params, u, 5.0)
-            loads_log[k] = prev
-        return loads_log
+    def simulate(step):
+        return close_loop(params, rotor, collective, state.servo_pitch,
+                          step)[1]
 
-    controlled = simulate(True)
-    baseline = simulate(False)
+    controlled = simulate(ctrl.step)
+    baseline = simulate(lambda loads, azimuth, omega: (0.0, 0.0))
     tail = slice(int(45.0 / params.ts), None)
     reduction = 100.0 * (1.0 - controlled[tail].var(axis=0).mean()
                          / baseline[tail].var(axis=0).mean())

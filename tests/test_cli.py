@@ -186,6 +186,16 @@ MALFORMED = {
                                           "sprc": {"past_window": 60}},
     "sprc.period_fraction of 1e-9": {"controller": "sprc-1p",
                                      "sprc": {"period_fraction": 1e-9}},
+    # A rotor floor at which one rotation takes more than 1e7 samples.
+    **{f"plant.rotor.min_rpm near zero under {controller}": {
+        "controller": controller, "duration": 12, "eval_start_s": 3,
+        "plant": {"rotor": {"min_rpm": 1e-300, "rpm_offset": -1000.0}}}
+       for controller in ("none", "cipc", "sprc-1p")},
+    # A 0.1 rpm rotation makes an SPRC period of about 108,000 samples,
+    # against the run's 2,400.
+    "duration below the SPRC period": {
+        "controller": "sprc-1p", "duration": 12, "eval_start_s": 3,
+        "plant": {"rotor": {"min_rpm": 0.1, "rpm_offset": -1000.0}}},
 }
 
 

@@ -223,6 +223,22 @@ class TestMetricWindow:
             with pytest.raises(ValueError, match="metric window"):
                 run_experiment(config)
 
+    @pytest.mark.parametrize("config, limit", [
+        # About 3,800 rpm: the 2P band reaches past the 100 Hz Nyquist
+        # frequency, however long the run.
+        (ExperimentConfig(controller="cipc", duration=12.0, eval_start_s=3.0,
+                          plant=TurbineParams(rotor=RotorModel(
+                              rpm_per_mps=800.0))), "at most 2608.7 rpm"),
+        # Near the 15 rpm floor the 1P band holds one 0.049 Hz bin of the
+        # longest Welch segment, so a longer run cannot help.
+        (ExperimentConfig(duration=600.0, collective_pitch_deg=60.0,
+                          plant=TurbineParams(rotor=RotorModel(
+                              min_rpm=15.0))), "at least 19.5312 rpm"),
+    ], ids=["2p_above_nyquist", "1p_narrower_than_two_bins"])
+    def test_unresolved_bands_blame_the_rotor_speed(self, config, limit):
+        with pytest.raises(ValueError, match=rf"^mean_rotor_rpm: .*{limit}"):
+            run_experiment(config)
+
 
 class TestActuatorDuty:
     def test_baseline_duty_is_zero(self):

@@ -10,12 +10,18 @@ from sprclab.cipc import CipcController
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, Seeds,
                              run_experiment)
 from sprclab.plant import (LoadModel, RotorModel, RPM_TO_RADS, StateSpaceModel,
-                           TurbineParams, TurbineState, make_benchmark_plant,
-                           simulate_lti, spectral_radius, turbine_step)
+                           TurbineParams, TurbineState, close_loop,
+                           make_benchmark_plant, open_loop, simulate_lti,
+                           spectral_radius)
+from sprclab.sprc import SprcConfig, SprcController
 
 
 def _reference_turbine_step(state, params, pitch_cmd, wind_sample, rng=None):
-    """The per-blade loop turbine_step replaced, with np.cos throughout."""
+    """One sample of the turbine, blade by blade, with np.cos throughout.
+
+    The independent oracle of `open_loop` and `close_loop`: it returns the
+    sample's loads and the state after it.
+    """
     lm = params.loads
 
     def periodic_load(az, collective, amp_scale):
@@ -132,91 +138,66 @@ class TestBenchmarkPlant:
             make_benchmark_plant(seed=0, r=2, l=1)
 
 
+def _constant_wind(params, step, samples, collective_deg=2.0, rng=None):
+    """`open_loop` + `close_loop` at 5 m/s and a constant collective.
+
+    Returns the open loop, the commanded IPC pitch and the blade loads.
+    """
+    state = TurbineState.initial(params, 5.0, collective_deg)
+    collective = np.full(samples, collective_deg)
+    rotor = open_loop(params, state, np.full(samples, 5.0), collective,
+                      rng or np.random.default_rng(0))
+    return (rotor, *close_loop(params, rotor, collective, state.servo_pitch,
+                               step))
+
+
+def _hold(u):
+    """A controller step that commands the IPC pitch `u` on both blades."""
+    return lambda loads, azimuth, omega: (u, u)
+
+
 class TestTurbineSurrogate:
     def test_loads_trace_fixed_function_of_azimuth(self):
         # Constant wind, constant pitch, noise off: the measured loads must
         # equal the closed-form periodic component at the recorded azimuth.
         params = TurbineParams(loads=LoadModel(noise_std_nm=0.0))
-        state = TurbineState.initial(params, 5.0)
-        for _ in range(2000):
-            az = state.azimuth
-            loads, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
-            expected = params.loads.periodic_load(az, 2.0, 1.0)
-            np.testing.assert_allclose(loads[0], expected, atol=1e-9)
+        rotor, _, loads = _constant_wind(params, _hold(0.0), 2000)
+        expected = params.loads.periodic_load(rotor.azimuth, 2.0, 1.0)
+        np.testing.assert_allclose(loads[:, 0], expected, atol=1e-9)
 
     def test_pitch_step_response_settles_in_five_servo_constants(self):
         params = TurbineParams(loads=LoadModel(noise_std_nm=0.0,
                                                amp_1p_nm=0.0, amp_2p_nm=0.0))
-        state = TurbineState.initial(params, 5.0)
         tau = 1.0 / (2.0 * np.pi * params.servo_bandwidth_hz)
         steps = int(np.ceil(5.0 * tau / params.ts))
-        for _ in range(steps):
-            loads, state = turbine_step(state, params, np.full(2, 3.0), 5.0)
-        baseline = params.loads.mean_nm
-        offset = loads[0] - baseline
+        # A 1 deg step from the 2 deg collective.
+        _, _, loads = _constant_wind(params, _hold(1.0), steps)
+        offset = loads[-1, 0] - params.loads.mean_nm
         target = params.loads.pitch_gain_nm_per_deg * 1.0
         assert abs(offset - target) < 0.01 * abs(target)
 
     def test_calibrated_operating_point(self):
-        params = TurbineParams()
-        state = TurbineState.initial(params, 5.0)
-        for _ in range(4000):
-            _, state = turbine_step(state, params, np.full(2, 2.0), 5.0)
-        rpm = state.omega / RPM_TO_RADS
+        rotor, _, _ = _constant_wind(TurbineParams(), _hold(0.0), 4001)
+        rpm = rotor.omega[-1] / RPM_TO_RADS
         assert abs(rpm - 230.0) < 2.0
 
     def test_servo_attenuates_sinusoids(self):
         # First-order lag: commanded sinusoids below the bandwidth come out
-        # with amplitude no larger than commanded.
-        params = TurbineParams(loads=LoadModel(noise_std_nm=0.0))
-        state = TurbineState.initial(params, 5.0, collective_deg=0.0)
+        # with amplitude no larger than commanded. With no load content
+        # but the pitch term, the loads are the servo pitch times the gain.
+        params = TurbineParams(loads=LoadModel(
+            mean_nm=0.0, amp_1p_nm=0.0, amp_2p_nm=0.0, noise_std_nm=0.0))
         amps = []
         for f in (2.0, 8.0, 14.0):
-            state = TurbineState.initial(params, 5.0, collective_deg=0.0)
-            pitch = []
-            for k in range(2000):
-                cmd = np.full(2, np.sin(2 * np.pi * f * k * params.ts))
-                _, state = turbine_step(state, params, cmd, 5.0)
-                pitch.append(state.servo_pitch[0])
-            amps.append(np.max(np.abs(pitch[1000:])))
+            cmd = iter(np.sin(2 * np.pi * f * np.arange(2000) * params.ts)
+                       .tolist())
+            _, _, loads = _constant_wind(
+                params, lambda y, psi, omega: (next(cmd),) * 2, 2000,
+                collective_deg=0.0)
+            servo = loads[:, 0] / params.loads.pitch_gain_nm_per_deg
+            amps.append(np.max(np.abs(servo[1000:])))
         assert all(a <= 1.0 + 1e-9 for a in amps)
         assert amps[0] > amps[1] > amps[2]
-
-    @pytest.mark.parametrize("seeded", [False, True])
-    def test_matches_per_blade_reference_bitwise(self, seeded):
-        params = TurbineParams()
-        pick = np.random.default_rng(17)
-        wraps = 0
-        for case in range(400):
-            omega = pick.uniform(10.0, 40.0)
-            # Every fourth state sits just short of a full turn, so the
-            # step wraps the azimuth.
-            azimuth = (2.0 * np.pi - 0.5 * omega * params.ts if case % 4 == 0
-                       else pick.uniform(0.0, 2.0 * np.pi))
-            state = TurbineState(azimuth=azimuth, omega=omega,
-                                 servo_pitch=pick.uniform(-5.0, 15.0, 2),
-                                 collective_pitch=pick.uniform(0.5, 10.0),
-                                 wind_lp=pick.uniform(3.0, 8.0))
-            cmd = pick.uniform(-5.0, 15.0, 2)
-            wind = pick.uniform(2.0, 9.0)
-            noise = [np.random.default_rng(case) if seeded else None
-                     for _ in range(2)]
-            loads, new = turbine_step(state, params, cmd, wind, noise[0])
-            want_loads, want = _reference_turbine_step(state, params, cmd,
-                                                       wind, noise[1])
-            np.testing.assert_array_equal(loads, want_loads)
-            np.testing.assert_array_equal(new.servo_pitch, want.servo_pitch)
-            for name in ("azimuth", "omega", "collective_pitch", "wind_lp"):
-                assert getattr(new, name) == getattr(want, name), name
-            wraps += new.azimuth < state.azimuth
-        assert wraps >= 100
-
-    def test_wrong_pitch_shape_rejected(self):
-        params = TurbineParams()
-        state = TurbineState.initial(params, 5.0)
-        for cmd in (np.zeros(3), np.zeros((2, 1)), 2.0):
-            with pytest.raises(ValueError):
-                turbine_step(state, params, cmd, 5.0)
 
     def test_nonpositive_ts_rejected(self):
         with pytest.raises(ValueError):
@@ -236,16 +217,10 @@ class TestTurbineSurrogate:
 
     def test_reproducible_with_equal_seeds(self):
         params = TurbineParams()
-        out = []
-        for _ in range(2):
-            rng = np.random.default_rng(7)
-            state = TurbineState.initial(params, 5.0)
-            series = []
-            for _ in range(500):
-                loads, state = turbine_step(state, params, np.full(2, 2.0),
-                                            5.0, rng)
-                series.append(loads)
-            out.append(np.array(series))
+        out = [_constant_wind(params, _hold(0.0), 500,
+                              rng=np.random.default_rng(7))[2]
+               for _ in range(2)]
+        assert np.any(out[0] != _constant_wind(params, _hold(0.0), 500)[2])
         np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -254,7 +229,8 @@ def _reference_closed_loop(config, wind, pitch_step):
 
     `wind` is the run's wind series, built by the caller, and `pitch_step`
     the (time_s, value) of its one collective-pitch event. The `none`
-    controller commands zero pitch.
+    controller commands zero pitch; an SPRC controller is built as a run
+    builds it, from the rotation at the initial rotor speed.
     """
     params = config.plant
     n = len(wind)
@@ -262,8 +238,15 @@ def _reference_closed_loop(config, wind, pitch_step):
     t_pitch, pitch_value = pitch_step
     state = TurbineState.initial(params, config.mean_wind,
                                  config.collective_pitch_deg)
-    ctrl = (CipcController(config.cipc, ts=params.ts)
-            if config.controller == "cipc" else None)
+    ctrl = None
+    if config.controller == "cipc":
+        ctrl = CipcController(config.cipc, ts=params.ts)
+    elif config.controller.startswith("sprc"):
+        harmonics = (1,) if config.controller == "sprc-1p" else (1, 2)
+        ctrl = SprcController(config.sprc,
+                              2.0 * np.pi / state.omega / params.ts,
+                              harmonics=harmonics, ts=params.ts,
+                              excitation_seed=config.seeds.excitation)
     rng = np.random.default_rng(config.seeds.noise)
     want = {name: np.zeros((n, 2)) for name in ("pitch", "loads")}
     want.update(azimuth=np.zeros(n), omega=np.zeros(n))
@@ -315,18 +298,21 @@ class TestOpenLoop:
         np.testing.assert_array_equal(record.wind, wind)
         _assert_record_equals(record, want)
 
-    @pytest.mark.parametrize("controller", ["none", "cipc"])
+    @pytest.mark.parametrize("controller", ["none", "cipc", "sprc-1p2p"])
     def test_rotor_speed_floor_matches_reference_loop_bitwise(self,
                                                               controller):
         # A collective step to 60 deg at 5 m/s sets the affine steady
         # speed to 12.5 rpm, under the 30 rpm floor. The static0
         # turbulence moves it between about -20 and 43 rpm, so the
         # open-loop clamp both engages and releases after the step.
+        # SPRC identifies for 4 s and synthesizes from then on, through
+        # rotations that grow far longer than its frozen period.
         t_pitch = 6.0
         config = ExperimentConfig(
             mode="static0", controller=controller, duration=20.0,
             eval_start_s=5.0, seeds=Seeds(wind=3, noise=4, excitation=5),
-            events=(ScenarioEvent(t_pitch, "collective_pitch", 60.0),))
+            events=(ScenarioEvent(t_pitch, "collective_pitch", 60.0),),
+            sprc=SprcConfig(ident_duration_s=4.0))
         record = run_experiment(config)
         rotor = config.plant.rotor
         assert rotor.steady_rpm(5.0, 60.0) == rotor.min_rpm
@@ -337,6 +323,9 @@ class TestOpenLoop:
         assert 0 < np.count_nonzero(unclamped < rotor.min_rpm) < len(unclamped)
         # The rotor slows to near the floor within the run.
         assert record.omega[-1] / RPM_TO_RADS < 1.05 * rotor.min_rpm
+        if controller == "sprc-1p2p":
+            assert sum(np.isfinite(t.gain_norm) for t in record.rotations) >= 10
+            assert not any(t.fault for t in record.rotations)
         _assert_record_equals(
             record, _reference_closed_loop(config, record.wind,
                                            (t_pitch, 60.0)))

@@ -11,8 +11,8 @@ from scipy.linalg import solve_discrete_are
 from sprclab import sprc
 from sprclab.harness import (ExperimentConfig, ScenarioEvent, Seeds,
                              run_experiment, variance_reduction)
-from sprclab.plant import (LoadModel, TurbineParams, TurbineState,
-                           make_benchmark_plant, simulate_lti, turbine_step)
+from sprclab.plant import (LoadModel, TurbineParams, TurbineState, close_loop,
+                           make_benchmark_plant, open_loop, simulate_lti)
 from sprclab.sprc import (BasisMatrix, SprcConfig, SprcController,
                           assemble_predictor, basis_rows, build_basis,
                           control_sample, dare_step, project_predictor,
@@ -508,11 +508,8 @@ class TestController:
             wind_gain_nm_per_mps=0.0))
         cfg = SprcConfig()
         ctrl = SprcController(cfg, 200.0 / (230.0 / 60.0))
-        state = TurbineState.initial(params, 5.0)
-        prev = np.zeros(2)
-        for _ in range(int(60.0 / params.ts)):
-            u = 2.0 + np.array(ctrl.step(prev, state.azimuth, state.omega))
-            prev, state = turbine_step(state, params, u, 5.0)
+        _constant_wind_loop(params, ctrl.step, int(60.0 / params.ts),
+                            np.random.default_rng(0))
         assert np.linalg.norm(ctrl.theta) < 1e-3
 
     def test_nan_measurement_holds_theta(self):
@@ -796,6 +793,14 @@ class TestZeroExcitation:
         assert variance_reduction(baseline, record)["pooled"] >= -1.0
 
 
+def _constant_wind_loop(params, step, samples, rng):
+    """`open_loop` + `close_loop` at 5 m/s and 2 deg; returns the loads."""
+    state = TurbineState.initial(params, 5.0)
+    collective = np.full(samples, 2.0)
+    rotor = open_loop(params, state, np.full(samples, 5.0), collective, rng)
+    return close_loop(params, rotor, collective, state.servo_pitch, step)[1]
+
+
 def _corrupted_closed_loop(kind: str):
     """SPRC on the turbine surrogate, identifying for the first 10 s.
 
@@ -809,24 +814,28 @@ def _corrupted_closed_loop(kind: str):
     ctrl = SprcController(SprcConfig(ident_duration_s=10.0),
                           2.0 * np.pi / state.omega / params.ts,
                           ts=params.ts)
-    rng = np.random.default_rng(1)
     start = int(15.0 / params.ts)
-    loads, prev_azimuth, corrupted = np.zeros(2), state.azimuth, []
-    for k in range(int(25.0 / params.ts)):
+    k, prev_azimuth, corrupted = 0, state.azimuth, []
+
+    def step(loads, azimuth, omega):
+        nonlocal k, prev_azimuth
         measured = loads
         if kind == "nan_burst" and start <= k < start + 10:
-            measured = np.full(2, np.nan)
+            measured = (np.nan, np.nan)
         elif kind == "inf_burst" and start <= k < start + 10:
-            measured = np.array([np.inf, -np.inf])
+            measured = (np.inf, -np.inf)
         elif (kind == "nan_at_wrap" and k >= start and not corrupted
-              and state.azimuth < prev_azimuth):
-            measured = np.array([np.nan, loads[1]])
+              and azimuth < prev_azimuth):
+            measured = (np.nan, loads[1])
         if measured is not loads:
             corrupted.append(k)
-        prev_azimuth = state.azimuth
-        u = np.array(ctrl.step(measured, state.azimuth, state.omega))
+        k, prev_azimuth = k + 1, azimuth
+        u = ctrl.step(measured, azimuth, omega)
         assert np.all(np.isfinite(u))
-        loads, state = turbine_step(state, params, 2.0 + u, 5.0, rng)
+        return u
+
+    _constant_wind_loop(params, step, int(25.0 / params.ts),
+                        np.random.default_rng(1))
     return ctrl, corrupted[0] * params.ts
 
 
