@@ -67,12 +67,21 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
              "speeds": list(harness.SWEEP_SPEEDS),
              "reductions": {c: {} for c in args.controllers},
              "pitch_variance": {c: {} for c in args.controllers}}
-    # Cell by cell, so that no earlier cell's records are kept.
+    # Every config is built, and so checked, before the first run.
+    grid = []
     for cell in harness.sweep_configs("none", seeds, base):
+        try:
+            grid.append((cell, [replace(cell, controller=c)
+                                for c in args.controllers]))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (cell {cell.mode} at "
+                             f"{cell.mean_wind:g} m/s)") from None
+    # Cell by cell, so that no earlier cell's records are kept.
+    for cell, controlled in grid:
         baseline = harness.run_experiment(cell)
         label = f"{cell.mode}@{cell.mean_wind}"
-        for c in args.controllers:
-            record = harness.run_experiment(replace(cell, controller=c))
+        for c, config in zip(args.controllers, controlled):
+            record = harness.run_experiment(config)
             table["reductions"][c][label] = harness.variance_reduction(
                 baseline, record)["pooled"]
             table["pitch_variance"][c][label] = float(

@@ -23,13 +23,13 @@ from .plant import (RPM_TO_RADS, TurbineParams, TurbineState, close_loop,
 from .spectral import (SEGMENT_SAMPLES, band_power, loglog_slope,
                        welch_psd)
 from .sprc_types import RotationTelemetry, SprcConfig
+from .windfield import MAX_SAMPLES
 
 SCHEMA_VERSION = 1
 CONTROLLERS = ("none", "cipc", "sprc-1p", "sprc-1p2p")
 SWEEP_MODES = ("static0", "static45", "lidar", "gusts")
 SWEEP_SPEEDS = (4.0, 4.5, 5.0)
 SWEPT_FIELDS = ("mode", "mean_wind", "controller")  # set per sweep cell
-MAX_SAMPLES = 10_000_000  # about 14 h at 200 Hz
 
 
 class SeedMismatchError(ValueError):

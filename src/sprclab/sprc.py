@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .plant import N_BLADES, TS_DEFAULT
 from .sprc_types import RotationTelemetry, SprcConfig
@@ -81,18 +82,51 @@ class LiftedPredictor:
 
     With Gt the strictly block-lower Toeplitz matrix of the output Markov
     blocks, GKu = (I - Gt)^{-1} GKu_t, and likewise for GKy and H. The
-    predictor keeps I - Gt and the unsolved right-hand sides, so a caller
-    that only needs products with a few columns solves for those alone.
+    predictor keeps I - Gt and the Markov matrix. The projection reads only
+    those two, so the unsolved right-hand sides GKu_t, GKy_t and Ht are
+    built from the Markov blocks on first access.
     """
 
-    ig: np.ndarray     # I - Gt, unit block-lower-triangular, (l P) x (l P)
-    gku_t: np.ndarray  # (l P) x (r P)
-    gky_t: np.ndarray  # (l P) x (l P)
-    ht: np.ndarray     # (l P) x (r P)
+    ig: np.ndarray      # I - Gt, unit block-lower-triangular, (l P) x (l P)
+    markov: np.ndarray  # l x ((r + l) p), as `MarkovEstimate` stores it
+    n_inputs: int
+
+    @property
+    def period(self) -> int:
+        return len(self.ig) // len(self.markov)
+
+    @property
+    def past_window(self) -> int:
+        return self.markov.shape[1] // (self.n_inputs + len(self.markov))
+
+    def _blocks(self, inputs: bool) -> np.ndarray:
+        """(l, p, .) input or output Markov blocks, oldest first."""
+        l, rp = len(self.markov), self.n_inputs * self.past_window
+        part = self.markov[:, :rp] if inputs else self.markov[:, rp:]
+        return part.reshape(l, self.past_window, -1)
+
+    @cached_property
+    def gku_t(self) -> np.ndarray:  # (l P) x (r P)
+        return _block_toeplitz(self._blocks(True), self.period,
+                               1 - self.period)
+
+    @cached_property
+    def gky_t(self) -> np.ndarray:  # (l P) x (l P)
+        return _block_toeplitz(self._blocks(False), self.period,
+                               1 - self.period)
+
+    @cached_property
+    def ht(self) -> np.ndarray:  # (l P) x (r P)
+        return _block_toeplitz(self._blocks(True), self.period, 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - Gt)^{-1} rhs by forward substitution."""
-        return solve_triangular(self.ig, rhs, lower=True, unit_diagonal=True)
+        """(I - Gt)^{-1} rhs by forward substitution, one column at a time.
+
+        ig.T is ig's Fortran-ordered transpose, so BLAS reads it in place
+        and solves with its transpose."""
+        return np.column_stack([
+            blas.dtrsv(self.ig.T, col, trans=1, diag=1)
+            for col in np.asarray(rhs, dtype=float).T])
 
 
 def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
@@ -102,6 +136,7 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     Markov block q (lag q + 1) fills block subdiagonal q + 1 of Gt and H,
     and the top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t:
     each of the four is a block-Toeplitz view of one zero-padded sequence.
+    Only I - Gt is formed here.
     """
     p, P, r, l = past_window, period, n_inputs, n_outputs
     if P < p:
@@ -109,13 +144,9 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     if markov.shape != (l, (r + l) * p):
         raise ValueError("Markov matrix has the wrong shape")
 
-    # (l, p, .) blocks, oldest first, as the Markov matrix stores them.
-    mu = markov[:, :r * p].reshape(l, p, r)
     my = markov[:, r * p:].reshape(l, p, l)
     return LiftedPredictor(ig=np.eye(l * P) - _block_toeplitz(my, P, 1),
-                           gku_t=_block_toeplitz(mu, P, 1 - P),
-                           gky_t=_block_toeplitz(my, P, 1 - P),
-                           ht=_block_toeplitz(mu, P, 1))
+                           markov=markov, n_inputs=r)
 
 
 def _block_toeplitz(blocks: np.ndarray, period: int,
@@ -134,31 +165,56 @@ def _block_toeplitz(blocks: np.ndarray, period: int,
     return rows.transpose(1, 0, 3, 2).reshape(l * period, m * period)
 
 
-def project_predictor(lp: LiftedPredictor,
-                      basis: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
+def lag_map(basis: BasisMatrix, period: int, past_window: int) -> np.ndarray:
+    """The map L with Markov @ L = [GKu_t phi, GKy_t phi, Ht phi], rearranged.
+
+    Row block k (lag p - k, oldest first, as the Markov matrix stores its
+    blocks) and column block (i, s, .) hold the phi block row that the
+    lifted matrix s puts beside Markov block k in block row i: phi_{i+P-1-q}
+    for GKu_t and GKy_t, phi_{i-1-q} for Ht, with q = p - 1 - k, or zero
+    outside the period. It depends only on (P, p, phi), so a controller
+    builds it once. Needs as many inputs as outputs.
+    """
+    P, p, nb = period, past_window, basis.n_params
+    r = len(basis.phi) // P
+    padded = np.zeros((3 * P, r, nb))  # phi_t at P + t, zero off 0 <= t < P
+    padded[P:2 * P] = basis.phi.reshape(P, r, nb)
+    i_minus_q = np.arange(P) - np.arange(p - 1, -1, -1)[:, None]  # (p, P)
+    corner = padded[2 * P - 1 + i_minus_q].transpose(0, 2, 1, 3)
+    lags = np.zeros((2, p, r, P, 3, nb))
+    lags[0, ..., 0, :] = corner
+    lags[0, ..., 2, :] = padded[P - 1 + i_minus_q].transpose(0, 2, 1, 3)
+    lags[1, ..., 1, :] = corner
+    return lags.reshape(2 * p * r, P * 3 * nb)
+
+
+def project_predictor(lp: LiftedPredictor, basis: BasisMatrix,
+                      lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project the lifted system onto the basis; returns (Abar, Bbar).
 
-    pinv (I - Gt)^{-1} X phi is formed as pinv (I - Gt)^{-1} (X phi): one
-    triangular solve against the 3 nb projected columns of GKu_t, GKy_t
-    and Ht instead of three solves against their full lifted width.
-    The lifted state is [Ybar; dtheta; dYbar]; with two harmonics and
-    r = l the projected transition matrix is 12l x 12l.
+    pinv (I - Gt)^{-1} X phi is formed as Z (X phi), where the nb rows of
+    Z = pinv (I - Gt)^{-1} each take one BLAS level-2 solve with
+    (I - Gt)', and [GKu_t phi, GKy_t phi, Ht phi] is one product of the
+    Markov matrix with `lags`, the `lag_map` of the basis. OpenBLAS runs
+    a level-2 solve on the calling thread at any size, so no solve wakes
+    a worker thread. The lifted state is [Ybar; dtheta; dYbar]; with two
+    harmonics and r = l the projected transition matrix is 12l x 12l.
     """
-    if lp.gku_t.shape != lp.gky_t.shape:
+    l = len(lp.markov)
+    if lp.n_inputs != l:
         raise ValueError("projection requires as many inputs as outputs")
     nb = basis.n_params
-    phi = basis.phi
-    solved = lp.solve(np.hstack([lp.gku_t @ phi, lp.gky_t @ phi,
-                                 lp.ht @ phi]))
-    pu, py, ph = np.hsplit(basis.pinv @ solved, 3)
-    eye = np.eye(nb)
-    zero = np.zeros((nb, nb))
-    abar = np.block([
-        [eye, pu, py],
-        [zero, zero, zero],
-        [zero, pu, py],
-    ])
-    bbar = np.vstack([ph, eye, ph])
+    P = lp.period
+    # (l, P, 3 nb) products, reordered to block rows (l P) x 3 nb.
+    x_phi = (lp.markov @ lags).reshape(l, P, 3 * nb).transpose(1, 0, 2)
+    # ig.T is Fortran-ordered: BLAS reads (I - Gt)' in place.
+    z = np.array([blas.dtrsv(lp.ig.T, row, diag=1) for row in basis.pinv])
+    pu_py, ph = np.hsplit(z @ x_phi.reshape(l * P, 3 * nb), [2 * nb])
+    # Abar = [I, pu, py; 0, 0, 0; 0, pu, py] and Bbar = [ph; I; ph].
+    abar = np.zeros((3 * nb, 3 * nb))
+    abar[:nb, :nb] = np.eye(nb)
+    abar[:nb, nb:] = abar[2 * nb:, nb:] = pu_py
+    bbar = np.vstack([ph, np.eye(nb), ph])
     return abar, bbar
 
 
@@ -216,11 +272,11 @@ class SprcController:
 
     A sample only emits the pitch command and is recorded. Each azimuth
     wrap folds the completed rotation into the Markov estimate in one QR
-    update and fits its load harmonics. The first `ident_duration_s` of a
-    run excite the basis amplitudes with seeded random phases while
-    feedback is off; afterwards each wrap also triggers predictor
-    assembly, projection, one Riccati step and the theta update, and the new
-    sequence is swapped in for the next rotation.
+    update. The first `ident_duration_s` of a run excite the basis
+    amplitudes with seeded random phases while feedback is off; afterwards
+    each wrap also fits the rotation's load harmonics and triggers
+    predictor assembly, projection, one Riccati step and the theta update,
+    and the new sequence is swapped in for the next rotation.
     The run supplies the basis harmonics, the sample time and the
     excitation seed; `config` holds only the tuning.
     """
@@ -238,6 +294,7 @@ class SprcController:
             raise ValueError("rotation period too short for the basis/window")
         r = N_BLADES
         self.basis = build_basis(self.period, r, harmonics)
+        self._lags = lag_map(self.basis, self.period, config.past_window)
         nb = self.basis.n_params
         self.deltas = DeltaBuffer(self.period, config.past_window, r, r)
         self.markov = MarkovEstimate(r, r, config.past_window,
@@ -306,13 +363,16 @@ class SprcController:
         # One QR fold of the rotation's rows; a refused (non-finite) row
         # flags this record.
         fault = self.markov.fold(*self.deltas.extend(u, y)) > 0
-        ybar = self._estimate_ybar(psi, y)
+        identifying = self._sample * self.ts < self.config.ident_duration_s
+        # ybar and delta_ybar are first read by the synthesis of the second
+        # control rotation, so no identification rotation fits them.
+        ybar = None if identifying else self._estimate_ybar(psi, y)
         if ybar is not None:
             self.delta_ybar = ybar - self.ybar
             self.ybar = ybar
 
         residual = gain_norm = math.nan
-        if self._sample * self.ts < self.config.ident_duration_s:
+        if identifying:
             self._set_theta(self._excitation(), np.zeros_like(self.theta))
         elif not self._had_control_rotation:
             # Feedback begins from rest, not from the last excitation.
@@ -361,7 +421,7 @@ class SprcController:
         cfg = self.config
         lp = assemble_predictor(self.markov.estimate, cfg.past_window,
                                 self.period, N_BLADES, N_BLADES)
-        abar, bbar = project_predictor(lp, self.basis)
+        abar, bbar = project_predictor(lp, self.basis, self._lags)
         p_r, kf, residual = dare_step(self.p_riccati, abar, bbar, self._q,
                                       self._r)
         theta, dtheta = update_theta(self.theta, self.delta_theta, self.ybar,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 
 class NumericError(ArithmeticError):
@@ -125,12 +125,17 @@ class MarkovEstimate:
 
     @property
     def estimate(self) -> np.ndarray:
-        """Current Markov matrix estimate, shape l x ((r+l) p)."""
+        """Current Markov matrix estimate, shape l x ((r+l) p).
+
+        Each output's row is one BLAS level-2 back substitution with R,
+        which OpenBLAS runs on the calling thread at any size."""
         top = self._factor[:self.dim]
-        xi_t = solve_triangular(top[:, :self.dim], top[:, self.dim:])
-        if not np.all(np.isfinite(xi_t)):
+        r_factor = np.asfortranarray(top[:, :self.dim])
+        xi = np.array([blas.dtrsv(r_factor, rhs)
+                       for rhs in top[:, self.dim:].T])
+        if not np.all(np.isfinite(xi)):
             raise NumericError("estimate became non-finite")
-        return xi_t.T
+        return xi
 
 
 def batch_solve(regressors: np.ndarray, targets: np.ndarray,

@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+MAX_SAMPLES = 10_000_000  # about 14 h at 200 Hz
+
 
 class GridMode(Enum):
     """Active-grid operating modes with their centerline TI targets (%)."""
@@ -151,7 +153,11 @@ def generate(mode: GridMode, mean: float, duration: float, rate: float,
     if seed < 0:
         raise ValueError("seed: must be non-negative")
 
-    n = int(round(duration * rate))
+    samples = duration * rate
+    if samples > MAX_SAMPLES + 0.5:  # refused before anything is allocated
+        raise ValueError(f"duration: {duration:g} s at {rate:g} Hz makes "
+                         f"{samples:.0f} samples, more than {MAX_SAMPLES}")
+    n = int(round(samples))
     if n < 2:
         raise ValueError(f"duration {duration:g} s holds fewer than two "
                          f"samples at {rate:g} Hz")

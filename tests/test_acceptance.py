@@ -19,7 +19,7 @@ from sprclab.plant import (LoadModel, TurbineParams, TurbineState, close_loop,
                            make_benchmark_plant, open_loop, simulate_lti)
 from sprclab.spectral import loglog_slope, welch_psd
 from sprclab.sprc import (SprcConfig, SprcController, assemble_predictor,
-                          build_basis, control_sample, dare_step,
+                          build_basis, control_sample, dare_step, lag_map,
                           project_predictor, solve_dare)
 from sprclab.sysid import (DeltaBuffer, MarkovEstimate, batch_solve,
                            choose_past_window)
@@ -106,7 +106,7 @@ def test_criterion_04_dare_correctness():
     lp = assemble_predictor(model.markov_parameters(p), p, 46,
                             model.r, model.l)
     basis = build_basis(46, model.r)
-    abar, bbar = project_predictor(lp, basis)
+    abar, bbar = project_predictor(lp, basis, lag_map(basis, 46, p))
     nb = basis.n_params
     Q, R = np.eye(3 * nb), 10.0 * np.eye(nb)
     p_sol, _, _ = solve_dare(abar, bbar, Q, R, tol=1e-14)

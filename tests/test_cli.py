@@ -34,6 +34,15 @@ def test_windgen_writes_series_and_stats(tmp_path, capsys):
     assert len(rows) == 30 * 200 + 1
 
 
+def test_windgen_refuses_more_samples_than_the_cap(tmp_path, capsys):
+    # 1e15 samples: refused by name before anything is allocated.
+    rc = main(["windgen", "--duration", "1e9", "--rate", "1e6", "--output",
+               str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: duration:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_exports_record(tmp_path, capsys):
     rc = main(["run", "--mode", "static0", "--controller", "none",
                "--duration", "12", "--output", str(tmp_path)])
@@ -220,6 +229,27 @@ def test_sweep_refuses_base_config_with_swept_key(tmp_path, capsys, key,
                "--output", str(tmp_path)])
     assert rc == 1
     assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_table.json").exists()
+
+
+def test_sweep_refuses_a_later_cell_before_the_first_run(tmp_path, capsys,
+                                                        monkeypatch):
+    # P is 72 at 4 m/s and 56 at 4.5 m/s but 46 at 5 m/s, so a past window
+    # of 50 runs in the first two cells and not in static0 at 5 m/s.
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config: runs.append(config))
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({
+        "duration": 12, "eval_start_s": 4,
+        "sprc": {"past_window": 50, "ident_duration_s": 4}}))
+    rc = main(["sweep", "--config", str(base), "--controllers", "cipc",
+               "sprc-1p2p", "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert runs == []
+    assert err.startswith("config error: sprc.past_window:")
+    assert "(cell static0 at 5 m/s)" in err
     assert not (tmp_path / "sweep_table.json").exists()
 
 

@@ -1,10 +1,11 @@
 """Tests for basis projection, the lifted predictor, DARE and the controller."""
 
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
@@ -15,8 +16,8 @@ from sprclab.plant import (LoadModel, TurbineParams, TurbineState, close_loop,
                            make_benchmark_plant, open_loop, simulate_lti)
 from sprclab.sprc import (BasisMatrix, SprcConfig, SprcController,
                           assemble_predictor, basis_rows, build_basis,
-                          control_sample, dare_step, project_predictor,
-                          solve_dare, update_theta)
+                          control_sample, dare_step, lag_map,
+                          project_predictor, solve_dare, update_theta)
 from sprclab.sysid import batch_solve, choose_past_window
 
 
@@ -100,6 +101,12 @@ _PREDICTOR_DRAWS = dict(p=st.integers(1, 20), extra=st.integers(0, 40),
                         l=st.integers(1, 3),
                         harmonics=st.sampled_from([(1,), (1, 2)]),
                         seed=st.integers(0, 2**32 - 1))
+
+
+def _project(lp, basis):
+    """`project_predictor` with the lag map a controller builds once."""
+    return project_predictor(lp, basis,
+                             lag_map(basis, lp.period, lp.past_window))
 
 
 class TestAssemblePredictor:
@@ -220,7 +227,7 @@ class TestProjection:
         p, P, r = 2, 16, 1
         lp = assemble_predictor(np.zeros((r, 2 * r * p)), p, P, r, r)
         basis = build_basis(P, r)
-        abar, bbar = project_predictor(lp, basis)
+        abar, bbar = _project(lp, basis)
         nb = basis.n_params
         expected_a = np.zeros((3 * nb, 3 * nb))
         expected_a[:nb, :nb] = np.eye(nb)
@@ -233,7 +240,7 @@ class TestProjection:
         rng = np.random.default_rng(0)
         p, P, r = 3, 24, 2
         lp = assemble_predictor(rng.standard_normal((r, 2 * r * p)), p, P, r, r)
-        abar, bbar = project_predictor(lp, build_basis(P, r))
+        abar, bbar = _project(lp, build_basis(P, r))
         assert abar.shape == (12 * r, 12 * r)
         assert bbar.shape == (12 * r, 4 * r)
 
@@ -251,7 +258,7 @@ class TestProjection:
             markov = 0.3 * rng.standard_normal((r, 2 * r * p))
         lp = assemble_predictor(markov, p, P, r, r)
         basis = build_basis(P, r, harmonics)
-        abar, bbar = project_predictor(lp, basis)
+        abar, bbar = _project(lp, basis)
         nb = basis.n_params
         pu = basis.pinv @ lp.solve(lp.gku_t) @ basis.phi
         py = basis.pinv @ lp.solve(lp.gky_t) @ basis.phi
@@ -265,13 +272,15 @@ class TestProjection:
 
     @settings(max_examples=60, deadline=None)
     @given(**_PREDICTOR_DRAWS)
+    @example(p=12, extra=0, l=2, harmonics=(1,), seed=0)  # P = p
+    @example(p=12, extra=0, l=2, harmonics=(1, 2), seed=1)
     def test_matches_projection_of_solved_predictor_property(
             self, p, extra, l, harmonics, seed):
         P = max(p, 9) + extra
         markov = _contracting_markov(np.random.default_rng(seed), p, l)
         lp = assemble_predictor(markov, p, P, l, l)
         basis = build_basis(P, l, harmonics)
-        abar, bbar = project_predictor(lp, basis)
+        abar, bbar = _project(lp, basis)
         nb = basis.n_params
         pu = basis.pinv @ lp.solve(lp.gku_t) @ basis.phi
         py = basis.pinv @ lp.solve(lp.gky_t) @ basis.phi
@@ -333,7 +342,7 @@ class TestDare:
         for _ in range(12):
             markov = _contracting_markov(rng, 20, 2)
             markov[:, :40] *= 0.3
-            abar, bbar = project_predictor(
+            abar, bbar = _project(
                 assemble_predictor(markov, 20, 46, 2, 2), basis)
             for max_iterations in (50, 500):
                 p_new, it_new, _ = solve_dare(abar, bbar, q, r, p0=p_new,
@@ -358,7 +367,7 @@ class TestDare:
         # within rounding otherwise.
         basis = build_basis(46, 2)
         nb = basis.n_params
-        abar, bbar = project_predictor(assemble_predictor(
+        abar, bbar = _project(assemble_predictor(
             _contracting_markov(np.random.default_rng(9), 20, 2), 20, 46, 2,
             2), basis)
         q, r = np.eye(3 * nb), 3.0 * np.eye(nb)
@@ -466,7 +475,7 @@ class TestFeedbackGain:
         lp = assemble_predictor(model.markov_parameters(p), p, P,
                                 model.r, model.l)
         basis = build_basis(P, model.r)
-        abar, bbar = project_predictor(lp, basis)
+        abar, bbar = _project(lp, basis)
         nb = basis.n_params
         Q, R = np.eye(3 * nb), 10.0 * np.eye(nb)
         p_sol, _, residual = solve_dare(abar, bbar, Q, R)
@@ -594,9 +603,10 @@ class TestRotationTelemetry:
     def test_synthesis_is_one_dare_step(self):
         # The first two synthesized rotations, redone from the controller's
         # state before each boundary and its Markov estimate and load
-        # harmonics after the fold: one dare_step from the P before it,
-        # then update_theta with the gain at that P, bit for bit. The
-        # second starts from the P the first committed.
+        # harmonics after the fold: the run path's projection, with the
+        # lag map the controller built once, then one dare_step from the P
+        # before it and update_theta with the gain at that P, bit for bit.
+        # The second starts from the P the first committed.
         cfg = SprcConfig(ident_duration_s=1.3)
         per_rev = 52
         ctrl = SprcController(cfg, per_rev)
@@ -617,7 +627,7 @@ class TestRotationTelemetry:
             p_before, theta_before, dtheta_before = before
             lp = assemble_predictor(ctrl.markov.estimate, cfg.past_window,
                                     ctrl.period, 2, 2)
-            abar, bbar = project_predictor(lp, ctrl.basis)
+            abar, bbar = project_predictor(lp, ctrl.basis, ctrl._lags)
             p_next, kf, residual = dare_step(p_before, abar, bbar, q, r)
             theta, dtheta = update_theta(theta_before, dtheta_before,
                                          ctrl.ybar, ctrl.delta_ybar, kf,
@@ -666,6 +676,48 @@ class TestRotationTelemetry:
             controller="sprc-1p", duration=12.0, eval_start_s=4.0,
             sprc=SprcConfig(ident_duration_s=2.0)))
         assert any(np.isfinite(tel.dare_residual) for tel in record.rotations)
+
+    def test_load_harmonics_fitted_only_after_identification(
+            self, monkeypatch):
+        # ybar and delta_ybar are first read by the synthesis of the second
+        # control rotation, so the fit runs on no identification rotation
+        # and on every rotation after identification.
+        fitted = []
+        fit = SprcController._estimate_ybar
+
+        def counting_fit(self, angles, loads):
+            fitted.append(len(self.telemetry))  # the rotation being closed
+            return fit(self, angles, loads)
+
+        monkeypatch.setattr(SprcController, "_estimate_ybar", counting_fit)
+        cfg = SprcConfig(ident_duration_s=4.0)
+        record = run_experiment(ExperimentConfig(
+            controller="sprc-1p2p", duration=12.0, eval_start_s=4.0,
+            sprc=cfg))
+        after = [i for i, tel in enumerate(record.rotations)
+                 if tel.time_s >= cfg.ident_duration_s]
+        assert 0 < after[0] and len(after) > 2
+        assert fitted == after
+
+
+class TestCallingThread:
+    def test_sprc_run_keeps_its_work_on_the_calling_thread(self):
+        # Every per-rotation solve is a BLAS level-2 dtrsv, which OpenBLAS
+        # runs on the calling thread; its level-3 and LAPACK triangular
+        # solves hand sizes as small as 80 x 2 to a worker thread, which
+        # then spins on the other core. With those solves, CPU time on
+        # other threads read 41-46 % of wall over such runs; without them,
+        # 0.0 ms. With a one-thread OpenBLAS it reads 0.0 either way, and
+        # the test shows nothing.
+        time.sleep(0.3)  # a worker left spinning by an earlier test sleeps
+        for controller in ("sprc-1p", "sprc-1p2p"):
+            wall = time.perf_counter()
+            cpu, own = time.process_time(), time.thread_time()
+            run_experiment(ExperimentConfig(controller=controller,
+                                            duration=40.0))
+            wall = time.perf_counter() - wall
+            other = (time.process_time() - cpu) - (time.thread_time() - own)
+            assert other <= 0.05 * wall, (controller, other, wall)
 
 
 def _kron_ybar_reference(angles, loads, harmonics):

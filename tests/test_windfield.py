@@ -50,6 +50,13 @@ class TestGenerate:
             series = generate(mode, 4.0, 60.0, RATE, seed=3)
             assert np.all(series.samples > 0.0)
 
+    def test_more_samples_than_the_cap_refused(self):
+        # One sample over the cap at 200 Hz; the cap itself is allowed.
+        duration = (windfield.MAX_SAMPLES + 1) / RATE
+        with pytest.raises(ValueError, match=r"^duration: .* 10000001 "
+                                             r"samples, more than 10000000"):
+            generate(GridMode.LIDAR, 5.0, duration, RATE, seed=0)
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             generate(GridMode.LIDAR, 5.0, 0.0, RATE, seed=0)
