@@ -18,8 +18,8 @@ import numpy as np
 from . import windfield
 from .cipc import CipcConfig, CipcController
 from .codec import decode, encode
-from .plant import (RPM_TO_RADS, TurbineParams, TurbineState, close_loop,
-                    open_loop)
+from .plant import (RPM_TO_RADS, TS_DEFAULT, TurbineParams, TurbineState,
+                    close_loop, open_loop)
 from .spectral import (SEGMENT_SAMPLES, band_power, loglog_slope,
                        welch_psd)
 from .sprc_types import RotationTelemetry, SprcConfig
@@ -87,7 +87,12 @@ class ExperimentConfig:
             raise ValueError("duration: must be positive and finite")
         samples = round(self.duration / self.plant.ts)
         if samples > MAX_SAMPLES:  # refused before a run allocates them
-            raise ValueError(f"plant.ts: {self.plant.ts:g} s makes {samples} "
+            # No plant.ts is coarser than TS_DEFAULT, so a run too long even
+            # at that step is the duration's fault.
+            culprit = ("duration" if round(self.duration / TS_DEFAULT)
+                       > MAX_SAMPLES else "plant.ts")
+            raise ValueError(f"{culprit}: a {self.duration:g} s run at "
+                             f"plant.ts {self.plant.ts:g} s makes {samples} "
                              f"samples, more than {MAX_SAMPLES}")
         # The rotor never turns slower than its floor, so this bounds every
         # rotation, and with it the CIPC notch and the SPRC period.

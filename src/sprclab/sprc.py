@@ -353,12 +353,12 @@ class SprcController:
             u2 += s * s2 + c * c2
         y1, y2 = loads
         self._rotation.extend((azimuth, u1, u2, y1, y2))
-        self._sample += 1
         return u1, u2
 
     def _on_rotation_boundary(self) -> None:
         rows = np.frombuffer(self._rotation).reshape(-1, 5)
         self._rotation = array("d")
+        self._sample += len(rows)
         psi, u, y = rows[:, 0], rows[:, 1:3], rows[:, 3:]
         # One QR fold of the rotation's rows; a refused (non-finite) row
         # flags this record.
@@ -404,13 +404,21 @@ class SprcController:
         if len(angles) < max(8, self.basis.n_params):
             return None
         # The scalar rows of `basis_rows`, built in place beside the DC
-        # column: [sin(h a), cos(h a) for h in harmonics, 1].
+        # column: [sin(h a), cos(h a) for h in harmonics, 1], then the loads.
+        k = 2 * len(self.harmonics) + 1
         phases = np.multiply.outer(angles, self.harmonics)
-        design = np.empty((len(angles), 2 * len(self.harmonics) + 1))
-        design[:, 0:-1:2] = np.sin(phases)
-        design[:, 1:-1:2] = np.cos(phases)
-        design[:, -1] = 1.0
-        coeffs, *_ = np.linalg.lstsq(design, loads, rcond=None)
+        design = np.empty((len(angles), k + loads.shape[1]))
+        design[:, 0:k - 1:2] = np.sin(phases)
+        design[:, 1:k - 1:2] = np.cos(phases)
+        design[:, k - 1] = 1.0
+        design[:, k:] = loads
+        # The normal equations [D'D | D'y] in one product. Over a rotation
+        # D'D is near diagonal (condition number about 2), so its Cholesky
+        # solve loses no digits that an orthogonal fit would keep.
+        gram = design[:, :k].T @ design
+        _, coeffs, info = lapack.dposv(gram[:, :k], gram[:, k:])
+        if info > 0:  # singular: hold ybar
+            return None
         return coeffs[:-1].ravel()
 
     def _synthesize(self) -> tuple[float, float]:

@@ -12,7 +12,6 @@ QR update. A batch least-squares solver serves as its oracle.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 
 
@@ -47,20 +46,37 @@ class DeltaBuffer:
         """Append m samples (m x r inputs, m x l outputs).
 
         Returns the regressor rows and the targets of the appended samples
-        that are ready, oldest first.
+        that are ready, oldest first: views into one fresh block of rows.
+        The u half of sample k's row, [du_{k-p}; ...; du_{k-1}], is p r
+        consecutive entries of du, so all the windows are one strided view
+        of du, and likewise of dy; each row is written once.
         """
         P, p, r = self.period, self.past_window, self.n_inputs
-        raw = np.vstack((self._raw, np.hstack((u, y))))
-        m = len(raw) - len(self._raw)
-        deltas = raw[P:] - raw[:-P]  # samples count - p, ..., count + m - 1
-        windows = sliding_window_view(deltas, (p + 1, deltas.shape[1]))[:, 0]
-        past = windows[:, :p]
-        regressors = np.concatenate((past[..., :r].reshape(m, -1),
-                                     past[..., r:].reshape(m, -1)), axis=1)
-        first = max(0, P + p - self._count)
+        kept = len(self._raw)  # P + p
+        m = len(u)
+        raw = np.empty((kept + m, self._raw.shape[1]))
+        raw[:kept] = self._raw
+        raw[kept:, :r] = u
+        raw[kept:, r:] = y
+        du = raw[P:, :r] - raw[:-P, :r]  # samples count - p, ..., count + m - 1
+        dy = raw[P:, r:] - raw[:-P, r:]
+        l = dy.shape[1]
+        first = min(m, max(0, kept - self._count))
+        n = m - first
+        rows = np.empty((n, (r + l) * p + l))
+        rows[:, :r * p] = _windows(du, first, n, p)
+        rows[:, r * p:-l] = _windows(dy, first, n, p)
+        rows[:, -l:] = dy[p + first:]
         self._raw = raw[m:]
         self._count += m
-        return regressors[first:], windows[first:, p, r:]
+        return rows[:, :-l], rows[:, -l:]
+
+
+def _windows(d: np.ndarray, first: int, n: int, p: int) -> np.ndarray:
+    """Rows first, ..., first + n - 1 of C-contiguous d, each with the p - 1
+    rows after it, as n flattened windows: a view, each row stride apart."""
+    return np.ndarray((n, p * d.shape[1]), float, d, first * d.strides[0],
+                      d.strides)
 
 
 class MarkovEstimate:
@@ -92,27 +108,24 @@ class MarkovEstimate:
         A row with a non-finite entry is refused: it is dropped, and the
         other rows are folded as if it had never been there.
         """
-        regressors = np.asarray(regressors, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if (regressors.shape[1:] != (self.dim,)
-                or targets.shape != (len(regressors), self.n_outputs)):
-            raise ValueError("regressor/target dimensions do not match")
-        keep = (np.isfinite(regressors).all(axis=1)
-                & np.isfinite(targets).all(axis=1))
-        refused = len(keep) - int(np.count_nonzero(keep))
-        if refused:
-            regressors, targets = regressors[keep], targets[keep]
-        self._qr_update(regressors, targets)
-        return refused
-
-    def _qr_update(self, regressors: np.ndarray, targets: np.ndarray) -> None:
         m = len(regressors)
+        if (np.shape(regressors)[1:] != (self.dim,)
+                or np.shape(targets) != (m, self.n_outputs)):
+            raise ValueError("regressor/target dimensions do not match")
+        # The weighted rows [regressor, target], in the Fortran order in
+        # which dtpqrt overwrites them: the fold's one copy of the rows.
+        rows = np.concatenate((regressors, targets), axis=1,
+                              out=np.empty((m, len(self._factor)), order="F"))
+        keep = np.isfinite(rows).all(axis=1)
+        refused = m - int(np.count_nonzero(keep))
+        if refused:
+            rows = np.asfortranarray(rows[keep])
+            m -= refused
         if m == 0:
-            return
+            return refused
         lam = self.forgetting
         # Row i of the block has age m-1-i; prior data ages by m.
-        weights = np.sqrt(lam ** np.arange(m - 1, -1, -1.0))[:, None]
-        rows = weights * np.hstack((regressors, targets))
+        rows *= np.sqrt(lam ** np.arange(m - 1, -1, -1.0))[:, None]
         # LAPACK's triangular-pentagonal QR (l = 0: the new rows are a
         # full rectangle) eliminates only the m new rows below the factor.
         nb = min(8, len(self._factor))  # block size, 1 <= nb <= dim + l
@@ -122,6 +135,7 @@ class MarkovEstimate:
         if info != 0:
             raise ValueError(f"dtpqrt: illegal argument {-info}")
         self._factor = factor
+        return refused
 
     @property
     def estimate(self) -> np.ndarray:

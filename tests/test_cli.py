@@ -189,6 +189,8 @@ MALFORMED = {
         "wind_lowpass_tau_s": 0.002}},
     # 1.2e11 samples, refused before a run allocates them.
     "plant.ts of 1 ns": {"plant": {"ts": 1e-9}},
+    # 2e11 samples even at the largest plant.ts: the duration's fault.
+    "duration of 1e9 s": {"duration": 1e9},
     # SPRC periods (0.9 of a 52-sample rotation at 5 m/s) that leave no
     # room for the window or the basis, refused before the wind is made.
     "sprc.past_window above the period": {"controller": "sprc-1p",

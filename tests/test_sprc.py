@@ -667,6 +667,16 @@ class TestRotationTelemetry:
                 closed = last["abar"] - last["bbar"] @ last["kf"]
                 assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
 
+    def test_rotation_time_is_the_wrap_sample(self):
+        # Each record is written at the sample on which the azimuth wraps,
+        # at ts times that sample's index, bit for bit.
+        record = run_experiment(ExperimentConfig(controller="sprc-1p2p"))
+        wraps = np.flatnonzero(np.diff(record.azimuth) < 0) + 1
+        ts = record.config.plant.ts
+        assert len(wraps) > 400
+        assert [tel.time_s for tel in record.rotations] == [
+            int(k) * ts for k in wraps]
+
     def test_run_path_never_solves_the_dare(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("solve_dare called on the run path")

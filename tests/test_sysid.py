@@ -101,11 +101,14 @@ class TestDeltaBuffer:
             a = b
 
     def test_delta_y_is_not_overwritten_by_later_pushes(self):
+        # Neither the targets nor the regressors an extend returns share
+        # memory with what later extends write.
         buf = DeltaBuffer(3, 1, 1, 1)
         k = np.arange(12.0)[:, None]
-        _, dy = buf.extend(np.zeros((5, 1)), k[:5] ** 2)
+        z, dy = buf.extend(-k[:5], k[:5] ** 2)
         for j in range(5, 12):
-            buf.extend(np.zeros((1, 1)), k[j:j + 1] ** 2)
+            buf.extend(-k[j:j + 1], k[j:j + 1] ** 2)
+        np.testing.assert_array_equal(z, [[-3.0, 9.0]])
         np.testing.assert_array_equal(dy, [[16.0 - 1.0]])
 
 
@@ -156,6 +159,20 @@ class TestMarkovEstimate:
         batch = batch_solve(z[keep], t[keep], forgetting=1.0)
         gap = np.linalg.norm(est.estimate - batch)
         assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
+
+    def test_fold_refuses_by_entry_not_by_row_sum(self):
+        # Rows of finite entries whose sums overflow are folded; a NaN in
+        # either half of a row refuses that row alone.
+        r, l, p = 1, 1, 2
+        dim = (r + l) * p
+        z = np.full((4, dim), 1.5e308)
+        t = np.full((4, l), 1.5e308)
+        z[3], t[3] = -1.5e308, -1.5e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.hstack([z, t]).sum(axis=1)).any()
+        assert MarkovEstimate(r, l, p, forgetting=1.0).fold(z, t) == 0
+        z[1, dim - 1] = t[2, 0] = np.nan
+        assert MarkovEstimate(r, l, p, forgetting=1.0).fold(z, t) == 2
 
     # Block sizes include single rows; (1, 1, 2) has dim + l = 5, below
     # the fold's block size of 8.
