@@ -259,7 +259,6 @@ class TurbineState:
     azimuth: float  # rad in [0, 2pi)
     omega: float  # rad/s
     servo_pitch: np.ndarray  # deg, one lag state per blade
-    collective_pitch: float  # deg
     wind_lp: float  # low-passed wind speed, m/s
 
     @classmethod
@@ -268,7 +267,6 @@ class TurbineState:
         omega = params.rotor.steady_rpm(wind_mps, collective_deg) * RPM_TO_RADS
         return cls(azimuth=0.0, omega=omega,
                    servo_pitch=np.full(N_BLADES, collective_deg),
-                   collective_pitch=collective_deg,
                    wind_lp=wind_mps)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,67 +75,18 @@ def control_sample(theta: np.ndarray, azimuth: float, n_inputs: int,
     return core @ theta.reshape(-1, n_inputs)
 
 
-@dataclass(frozen=True)
-class LiftedPredictor:
-    """Period-lifted predictor Y_{k+P} = Y_k + GKu dU_k + GKy dY_k + H dU_{k+P}.
-
-    With Gt the strictly block-lower Toeplitz matrix of the output Markov
-    blocks, GKu = (I - Gt)^{-1} GKu_t, and likewise for GKy and H. The
-    predictor keeps I - Gt and the Markov matrix. The projection reads only
-    those two, so the unsolved right-hand sides GKu_t, GKy_t and Ht are
-    built from the Markov blocks on first access.
-    """
-
-    ig: np.ndarray      # I - Gt, unit block-lower-triangular, (l P) x (l P)
-    markov: np.ndarray  # l x ((r + l) p), as `MarkovEstimate` stores it
-    n_inputs: int
-
-    @property
-    def period(self) -> int:
-        return len(self.ig) // len(self.markov)
-
-    @property
-    def past_window(self) -> int:
-        return self.markov.shape[1] // (self.n_inputs + len(self.markov))
-
-    def _blocks(self, inputs: bool) -> np.ndarray:
-        """(l, p, .) input or output Markov blocks, oldest first."""
-        l, rp = len(self.markov), self.n_inputs * self.past_window
-        part = self.markov[:, :rp] if inputs else self.markov[:, rp:]
-        return part.reshape(l, self.past_window, -1)
-
-    @cached_property
-    def gku_t(self) -> np.ndarray:  # (l P) x (r P)
-        return _block_toeplitz(self._blocks(True), self.period,
-                               1 - self.period)
-
-    @cached_property
-    def gky_t(self) -> np.ndarray:  # (l P) x (l P)
-        return _block_toeplitz(self._blocks(False), self.period,
-                               1 - self.period)
-
-    @cached_property
-    def ht(self) -> np.ndarray:  # (l P) x (r P)
-        return _block_toeplitz(self._blocks(True), self.period, 1)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - Gt)^{-1} rhs by forward substitution, one column at a time.
-
-        ig.T is ig's Fortran-ordered transpose, so BLAS reads it in place
-        and solves with its transpose."""
-        return np.column_stack([
-            blas.dtrsv(self.ig.T, col, trans=1, diag=1)
-            for col in np.asarray(rhs, dtype=float).T])
-
-
 def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
-                       n_inputs: int, n_outputs: int) -> LiftedPredictor:
-    """Build the lifted predictor from the Markov estimate alone.
+                       n_inputs: int, n_outputs: int) -> np.ndarray:
+    """I - Gt of the period-lifted predictor, from the Markov estimate alone.
 
-    Markov block q (lag q + 1) fills block subdiagonal q + 1 of Gt and H,
-    and the top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t:
-    each of the four is a block-Toeplitz view of one zero-padded sequence.
-    Only I - Gt is formed here.
+    The predictor is Y_{k+P} = Y_k + GKu dU_k + GKy dY_k + H dU_{k+P}, with
+    Gt the strictly block-lower Toeplitz matrix of the output Markov
+    blocks, GKu = (I - Gt)^{-1} GKu_t, and likewise for GKy and H. Markov
+    block q (lag q + 1) fills block subdiagonal q + 1 of Gt and H, and the
+    top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t. Only
+    I - Gt, unit block-lower-triangular and (l P) x (l P), is formed: the
+    other three's products with the basis are one product of the Markov
+    matrix with `lag_map`.
     """
     p, P, r, l = past_window, period, n_inputs, n_outputs
     if P < p:
@@ -145,22 +95,20 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
         raise ValueError("Markov matrix has the wrong shape")
 
     my = markov[:, r * p:].reshape(l, p, l)
-    return LiftedPredictor(ig=np.eye(l * P) - _block_toeplitz(my, P, 1),
-                           markov=markov, n_inputs=r)
+    return np.eye(l * P) - _block_toeplitz(my, P)
 
 
-def _block_toeplitz(blocks: np.ndarray, period: int,
-                    first_lag: int) -> np.ndarray:
-    """(l P) x (m P) matrix whose block (i, j) is the lag-(q + 1) block of
-    the (l, p, m) `blocks`, oldest first, where i - j = first_lag + q, else 0.
+def _block_toeplitz(blocks: np.ndarray, period: int) -> np.ndarray:
+    """(l P) x (m P) matrix whose block (i, j) is the lag-(i - j) block of
+    the (l, p, m) `blocks`, oldest first, for 1 <= i - j <= p, else 0.
 
     The blocks sit in one zero sequence down the diagonals P to 1 - P, and
     block row i is its window of P entries from diagonal i, so each row of
     the result is one contiguous run of it. Diagonal P, outside the matrix,
-    holds the lag-P block when p = P and first_lag = 1."""
+    holds the lag-P block when p = P."""
     l, p, m = blocks.shape
     diagonals = np.zeros((l, 2 * period, m))
-    diagonals[:, period + 1 - first_lag - p:period + 1 - first_lag] = blocks
+    diagonals[:, period - p:period] = blocks
     rows = sliding_window_view(diagonals[:, 1:], period, axis=1)[:, ::-1]
     return rows.transpose(1, 0, 3, 2).reshape(l * period, m * period)
 
@@ -188,10 +136,11 @@ def lag_map(basis: BasisMatrix, period: int, past_window: int) -> np.ndarray:
     return lags.reshape(2 * p * r, P * 3 * nb)
 
 
-def project_predictor(lp: LiftedPredictor, basis: BasisMatrix,
+def project_predictor(ig: np.ndarray, markov: np.ndarray, basis: BasisMatrix,
                       lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project the lifted system onto the basis; returns (Abar, Bbar).
 
+    `ig` is `assemble_predictor`'s I - Gt of the Markov matrix `markov`.
     pinv (I - Gt)^{-1} X phi is formed as Z (X phi), where the nb rows of
     Z = pinv (I - Gt)^{-1} each take one BLAS level-2 solve with
     (I - Gt)', and [GKu_t phi, GKy_t phi, Ht phi] is one product of the
@@ -200,15 +149,15 @@ def project_predictor(lp: LiftedPredictor, basis: BasisMatrix,
     a worker thread. The lifted state is [Ybar; dtheta; dYbar]; with two
     harmonics and r = l the projected transition matrix is 12l x 12l.
     """
-    l = len(lp.markov)
-    if lp.n_inputs != l:
+    l = len(markov)
+    if markov.shape[1] != len(lags):
         raise ValueError("projection requires as many inputs as outputs")
     nb = basis.n_params
-    P = lp.period
+    P = len(ig) // l
     # (l, P, 3 nb) products, reordered to block rows (l P) x 3 nb.
-    x_phi = (lp.markov @ lags).reshape(l, P, 3 * nb).transpose(1, 0, 2)
+    x_phi = (markov @ lags).reshape(l, P, 3 * nb).transpose(1, 0, 2)
     # ig.T is Fortran-ordered: BLAS reads (I - Gt)' in place.
-    z = np.array([blas.dtrsv(lp.ig.T, row, diag=1) for row in basis.pinv])
+    z = np.array([blas.dtrsv(ig.T, row, diag=1) for row in basis.pinv])
     pu_py, ph = np.hsplit(z @ x_phi.reshape(l * P, 3 * nb), [2 * nb])
     # Abar = [I, pu, py; 0, 0, 0; 0, pu, py] and Bbar = [ph; I; ph].
     abar = np.zeros((3 * nb, 3 * nb))
@@ -427,9 +376,10 @@ class SprcController:
 
         Raises NumericError or LinAlgError with all state unchanged."""
         cfg = self.config
-        lp = assemble_predictor(self.markov.estimate, cfg.past_window,
-                                self.period, N_BLADES, N_BLADES)
-        abar, bbar = project_predictor(lp, self.basis, self._lags)
+        markov = self.markov.estimate
+        ig = assemble_predictor(markov, cfg.past_window, self.period,
+                                N_BLADES, N_BLADES)
+        abar, bbar = project_predictor(ig, markov, self.basis, self._lags)
         p_r, kf, residual = dare_step(self.p_riccati, abar, bbar, self._q,
                                       self._r)
         theta, dtheta = update_theta(self.theta, self.delta_theta, self.ybar,

@@ -103,10 +103,10 @@ def test_criterion_04_dare_correctness():
     # Fixed point of the recursion on a projected surrogate-sized system.
     model = make_benchmark_plant(seed=0, n=4, r=2, l=2)
     p = choose_past_window(model, tol=1e-8)
-    lp = assemble_predictor(model.markov_parameters(p), p, 46,
-                            model.r, model.l)
+    markov = model.markov_parameters(p)
+    ig = assemble_predictor(markov, p, 46, model.r, model.l)
     basis = build_basis(46, model.r)
-    abar, bbar = project_predictor(lp, basis, lag_map(basis, 46, p))
+    abar, bbar = project_predictor(ig, markov, basis, lag_map(basis, 46, p))
     nb = basis.n_params
     Q, R = np.eye(3 * nb), 10.0 * np.eye(nb)
     p_sol, _, _ = solve_dare(abar, bbar, Q, R, tol=1e-14)

@@ -16,11 +16,13 @@ from sprclab.plant import (LoadModel, RotorModel, RPM_TO_RADS, StateSpaceModel,
 from sprclab.sprc import SprcConfig, SprcController
 
 
-def _reference_turbine_step(state, params, pitch_cmd, wind_sample, rng=None):
+def _reference_turbine_step(state, params, collective, pitch_cmd,
+                            wind_sample, rng=None):
     """One sample of the turbine, blade by blade, with np.cos throughout.
 
-    The independent oracle of `open_loop` and `close_loop`: it returns the
-    sample's loads and the state after it.
+    The independent oracle of `open_loop` and `close_loop`: at the
+    collective set-point `collective` (deg), it returns the sample's loads
+    and the state after it.
     """
     lm = params.loads
 
@@ -43,20 +45,20 @@ def _reference_turbine_step(state, params, pitch_cmd, wind_sample, rng=None):
     blade_azimuths = state.azimuth + np.arange(2) * (2.0 * np.pi / 2)
     loads = np.empty(2)
     for i, az in enumerate(blade_azimuths):
-        periodic = periodic_load(az, state.collective_pitch, amp_scale)
+        periodic = periodic_load(az, collective, amp_scale)
         if i == 1:
             periodic = (lm.mean_nm + lm.blade2_amp_ratio
                         * (periodic_load(az + lm.blade2_phase_shift_rad,
-                                         state.collective_pitch, amp_scale)
+                                         collective, amp_scale)
                            - lm.mean_nm))
         wind_factor = 1.0 + lm.wind_1p_modulation * np.cos(az)
         loads[i] = (periodic
                     + lm.pitch_gain_nm_per_deg
-                    * (servo[i] - state.collective_pitch)
+                    * (servo[i] - collective)
                     + lm.wind_gain_nm_per_mps * wind_factor * fluctuation)
     if rng is not None and lm.noise_std_nm > 0.0:
         loads += lm.noise_std_nm * rng.standard_normal(2)
-    omega_ss = params.rotor.steady_rpm(wind_sample, state.collective_pitch)
+    omega_ss = params.rotor.steady_rpm(wind_sample, collective)
     omega_ss *= RPM_TO_RADS
     omega = state.omega + ts / params.rotor.tau_s * (omega_ss - state.omega)
     azimuth = state.azimuth + omega * ts
@@ -236,8 +238,8 @@ def _reference_closed_loop(config, wind, pitch_step):
     n = len(wind)
     time = np.arange(n) * params.ts
     t_pitch, pitch_value = pitch_step
-    state = TurbineState.initial(params, config.mean_wind,
-                                 config.collective_pitch_deg)
+    collective = config.collective_pitch_deg
+    state = TurbineState.initial(params, config.mean_wind, collective)
     ctrl = None
     if config.controller == "cipc":
         ctrl = CipcController(config.cipc, ts=params.ts)
@@ -253,13 +255,13 @@ def _reference_closed_loop(config, wind, pitch_step):
     loads = np.zeros(2)
     for k in range(n):
         if time[k] >= t_pitch:
-            state = replace(state, collective_pitch=pitch_value)
+            collective = pitch_value
         u = (np.zeros(2) if ctrl is None
              else np.array(ctrl.step(loads, state.azimuth, state.omega)))
         want["azimuth"][k], want["omega"][k] = state.azimuth, state.omega
         want["pitch"][k] = u
         loads, state = _reference_turbine_step(
-            state, params, state.collective_pitch + u, wind[k], rng)
+            state, params, collective, collective + u, wind[k], rng)
         want["loads"][k] = loads
     return want
 

@@ -103,69 +103,50 @@ _PREDICTOR_DRAWS = dict(p=st.integers(1, 20), extra=st.integers(0, 40),
                         seed=st.integers(0, 2**32 - 1))
 
 
-def _project(lp, basis):
-    """`project_predictor` with the lag map a controller builds once."""
-    return project_predictor(lp, basis,
-                             lag_map(basis, lp.period, lp.past_window))
+def _project(markov, p, P, basis):
+    """`assemble_predictor` then `project_predictor`, with the lag map a
+    controller builds once."""
+    ig = assemble_predictor(markov, p, P, len(markov), len(markov))
+    return project_predictor(ig, markov, basis, lag_map(basis, P, p))
+
+
+def _reference_lifted(markov, p, P, r, l):
+    """(I - Gt, Ht, GKu_t, GKy_t), Markov block q (lag q + 1) placed by
+    Kronecker products with shifted identities: Gt and Ht on block
+    subdiagonal q + 1, GKu_t and GKy_t on block superdiagonal P - 1 - q."""
+    mu = [markov[:, (p - 1 - q) * r:(p - q) * r] for q in range(p)]
+    my = [markov[:, r * p + (p - 1 - q) * l:r * p + (p - q) * l]
+          for q in range(p)]
+
+    def place(blocks, first):  # block q on block diagonal first - q
+        return sum(np.kron(np.eye(P, P, first - q), blocks[q])
+                   for q in range(p))
+
+    return (np.eye(l * P) - place(my, -1), place(mu, -1),
+            place(mu, P - 1), place(my, P - 1))
 
 
 class TestAssemblePredictor:
-    def test_zero_markov_gives_open_loop_predictor(self):
-        p, P = 3, 12
-        lp = assemble_predictor(np.zeros((1, 2 * p)), p, P, 1, 1)
-        np.testing.assert_array_equal(lp.solve(lp.ht), 0.0)
-        np.testing.assert_array_equal(lp.solve(lp.gku_t), 0.0)
-        np.testing.assert_array_equal(lp.solve(lp.gky_t), 0.0)
-
-    def test_scalar_single_lag_subdiagonal(self):
-        h = 2.5
-        P = 6
-        lp = assemble_predictor(np.array([[h, 0.0]]), 1, P, 1, 1)
-        expected = np.zeros((P, P))
-        for i in range(1, P):
-            expected[i, i - 1] = h
-        np.testing.assert_allclose(lp.solve(lp.ht), expected, atol=1e-12)
-
-    def test_corner_columns_zero(self):
-        rng = np.random.default_rng(0)
-        p, P, r = 4, 20, 2
-        markov = rng.standard_normal((r, 2 * r * p))
-        lp = assemble_predictor(markov, p, P, r, r)
-        np.testing.assert_array_equal(lp.solve(lp.gku_t)[:, :(P - p) * r], 0.0)
-        np.testing.assert_array_equal(lp.solve(lp.gky_t)[:, :(P - p) * r], 0.0)
-
-    def test_h_strictly_delayed(self):
-        rng = np.random.default_rng(1)
-        p, P, r = 3, 10, 2
-        markov = rng.standard_normal((r, 2 * r * p))
-        lp = assemble_predictor(markov, p, P, r, r)
-        for i in range(P):
-            block = lp.solve(lp.ht)[i * r:(i + 1) * r, i * r:]
-            np.testing.assert_array_equal(block, 0.0)
-
     def test_period_shorter_than_window_rejected(self):
-        with pytest.raises(ValueError):
+        # With the lifted path's other two refusals: a Markov matrix of the
+        # wrong shape, and a projection with fewer inputs than outputs.
+        with pytest.raises(ValueError, match="at least the past window"):
             assemble_predictor(np.zeros((1, 8)), 4, 3, 1, 1)
+        with pytest.raises(ValueError, match="wrong shape"):
+            assemble_predictor(np.zeros((1, 6)), 4, 12, 1, 1)
+        markov = np.zeros((2, 9))  # r = 1, l = 2, p = 3
+        basis = build_basis(12, 1)
+        with pytest.raises(ValueError, match="as many inputs as outputs"):
+            project_predictor(assemble_predictor(markov, 3, 12, 1, 2), markov,
+                              basis, lag_map(basis, 12, 3))
 
     @pytest.mark.parametrize("p, P, r, l", [(1, 6, 1, 1), (3, 12, 2, 2),
                                             (4, 4, 2, 3), (5, 9, 3, 2),
                                             (20, 46, 2, 2)])
     def test_blocks_match_kron_reference(self, p, P, r, l):
-        # Reference: Markov block q (lag q + 1) placed by Kronecker
-        # products with shifted identities.
         markov = np.random.default_rng(p + P).standard_normal((l, (r + l) * p))
-        mu = [markov[:, (p - 1 - q) * r:(p - q) * r] for q in range(p)]
-        my = [markov[:, r * p + (p - 1 - q) * l:r * p + (p - q) * l]
-              for q in range(p)]
-        ht = sum(np.kron(np.eye(P, P, -(q + 1)), mu[q]) for q in range(p))
-        gt = sum(np.kron(np.eye(P, P, -(q + 1)), my[q]) for q in range(p))
-        gku_t = sum(np.kron(np.eye(P, P, P - 1 - q), mu[q]) for q in range(p))
-        gky_t = sum(np.kron(np.eye(P, P, P - 1 - q), my[q]) for q in range(p))
-        lp = assemble_predictor(markov, p, P, r, l)
-        np.testing.assert_array_equal(lp.ht, ht)
-        np.testing.assert_array_equal(lp.ig, np.eye(l * P) - gt)
-        np.testing.assert_array_equal(lp.gku_t, gku_t)
-        np.testing.assert_array_equal(lp.gky_t, gky_t)
+        np.testing.assert_array_equal(assemble_predictor(markov, p, P, r, l),
+                                      _reference_lifted(markov, p, P, r, l)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(**_PREDICTOR_DRAWS)
@@ -175,28 +156,19 @@ class TestAssemblePredictor:
         # only matter to the projection.
         P = max(p, 9) + extra
         markov = _contracting_markov(np.random.default_rng(seed), p, l)
-        mu = [markov[:, (p - 1 - q) * l:(p - q) * l] for q in range(p)]
-        my = [markov[:, l * p + (p - 1 - q) * l:l * p + (p - q) * l]
-              for q in range(p)]
-        lp = assemble_predictor(markov, p, P, l, l)
-        np.testing.assert_array_equal(lp.ht, sum(
-            np.kron(np.eye(P, P, -(q + 1)), mu[q]) for q in range(p)))
-        np.testing.assert_array_equal(lp.ig, np.eye(l * P) - sum(
-            np.kron(np.eye(P, P, -(q + 1)), my[q]) for q in range(p)))
-        np.testing.assert_array_equal(lp.gku_t, sum(
-            np.kron(np.eye(P, P, P - 1 - q), mu[q]) for q in range(p)))
-        np.testing.assert_array_equal(lp.gky_t, sum(
-            np.kron(np.eye(P, P, P - 1 - q), my[q]) for q in range(p)))
+        np.testing.assert_array_equal(assemble_predictor(markov, p, P, l, l),
+                                      _reference_lifted(markov, p, P, l, l)[0])
 
     def test_matches_lti_oracle(self):
         # With exact Markov parameters and noise-free data, the lifted
-        # relation Y_{j+1} = Y_j + GKu dU_j + GKy dY_j + H dU_{j+1}
-        # reproduces the simulated output.
+        # relation Y_{j+1} = Y_j + GKu dU_j + GKy dY_j + H dU_{j+1} of the
+        # kron reference reproduces the simulated output.
         model = make_benchmark_plant(seed=0, n=4, r=2, l=2)
         p = choose_past_window(model, tol=1e-10)
         P = 46
-        lp = assemble_predictor(model.markov_parameters(p), p, P,
-                                model.r, model.l)
+        ig, ht, gku_t, gky_t = _reference_lifted(
+            model.markov_parameters(p), p, P, model.r, model.l)
+        gku, gky, h = (np.linalg.solve(ig, x) for x in (gku_t, gky_t, ht))
         rng = np.random.default_rng(3)
         periods = 12
         steps = periods * P
@@ -214,8 +186,7 @@ class TestAssemblePredictor:
             du_j = lift(u, j) - lift(u, j - 1)
             du_next = lift(u, j + 1) - lift(u, j)
             dy_j = lift(y, j) - lift(y, j - 1)
-            pred = (lift(y, j) + lp.solve(lp.gku_t) @ du_j
-                    + lp.solve(lp.gky_t) @ dy_j + lp.solve(lp.ht) @ du_next)
+            pred = lift(y, j) + gku @ du_j + gky @ dy_j + h @ du_next
             actual = lift(y, j + 1)
             errs.append(np.linalg.norm(pred - actual)
                         / np.linalg.norm(actual))
@@ -225,9 +196,8 @@ class TestAssemblePredictor:
 class TestProjection:
     def test_zero_plant_pattern(self):
         p, P, r = 2, 16, 1
-        lp = assemble_predictor(np.zeros((r, 2 * r * p)), p, P, r, r)
         basis = build_basis(P, r)
-        abar, bbar = _project(lp, basis)
+        abar, bbar = _project(np.zeros((r, 2 * r * p)), p, P, basis)
         nb = basis.n_params
         expected_a = np.zeros((3 * nb, 3 * nb))
         expected_a[:nb, :nb] = np.eye(nb)
@@ -239,15 +209,16 @@ class TestProjection:
     def test_projected_dimension(self):
         rng = np.random.default_rng(0)
         p, P, r = 3, 24, 2
-        lp = assemble_predictor(rng.standard_normal((r, 2 * r * p)), p, P, r, r)
-        abar, bbar = _project(lp, build_basis(P, r))
+        abar, bbar = _project(rng.standard_normal((r, 2 * r * p)), p, P,
+                              build_basis(P, r))
         assert abar.shape == (12 * r, 12 * r)
         assert bbar.shape == (12 * r, 4 * r)
 
     @pytest.mark.parametrize("source", ["random", "lti"])
     @pytest.mark.parametrize("harmonics", [(1,), (1, 2)])
     def test_matches_projection_of_solved_predictor(self, source, harmonics):
-        # Oracle: pinv @ X @ phi for the fully solved lifted blocks X.
+        # Oracle: pinv @ X @ phi for the lifted blocks X of the kron
+        # reference, solved with np.linalg.solve.
         if source == "lti":
             model = make_benchmark_plant(seed=0, n=4, r=2, l=2)
             p, P, r = choose_past_window(model, tol=1e-10), 46, 2
@@ -256,13 +227,12 @@ class TestProjection:
             p, P, r = 6, 30, 2
             rng = np.random.default_rng(5)
             markov = 0.3 * rng.standard_normal((r, 2 * r * p))
-        lp = assemble_predictor(markov, p, P, r, r)
         basis = build_basis(P, r, harmonics)
-        abar, bbar = _project(lp, basis)
+        abar, bbar = _project(markov, p, P, basis)
         nb = basis.n_params
-        pu = basis.pinv @ lp.solve(lp.gku_t) @ basis.phi
-        py = basis.pinv @ lp.solve(lp.gky_t) @ basis.phi
-        ph = basis.pinv @ lp.solve(lp.ht) @ basis.phi
+        ig, ht, gku_t, gky_t = _reference_lifted(markov, p, P, r, r)
+        pu, py, ph = (basis.pinv @ np.linalg.solve(ig, x) @ basis.phi
+                      for x in (gku_t, gky_t, ht))
         for rows in (slice(0, nb), slice(2 * nb, 3 * nb)):
             np.testing.assert_allclose(abar[rows, nb:2 * nb], pu, rtol=0.0,
                                        atol=1e-12)
@@ -278,13 +248,12 @@ class TestProjection:
             self, p, extra, l, harmonics, seed):
         P = max(p, 9) + extra
         markov = _contracting_markov(np.random.default_rng(seed), p, l)
-        lp = assemble_predictor(markov, p, P, l, l)
         basis = build_basis(P, l, harmonics)
-        abar, bbar = _project(lp, basis)
+        abar, bbar = _project(markov, p, P, basis)
         nb = basis.n_params
-        pu = basis.pinv @ lp.solve(lp.gku_t) @ basis.phi
-        py = basis.pinv @ lp.solve(lp.gky_t) @ basis.phi
-        ph = basis.pinv @ lp.solve(lp.ht) @ basis.phi
+        ig, ht, gku_t, gky_t = _reference_lifted(markov, p, P, l, l)
+        pu, py, ph = (basis.pinv @ np.linalg.solve(ig, x) @ basis.phi
+                      for x in (gku_t, gky_t, ht))
         for rows in (slice(0, nb), slice(2 * nb, 3 * nb)):
             np.testing.assert_allclose(abar[rows, nb:2 * nb], pu, rtol=0.0,
                                        atol=1e-12)
@@ -342,8 +311,7 @@ class TestDare:
         for _ in range(12):
             markov = _contracting_markov(rng, 20, 2)
             markov[:, :40] *= 0.3
-            abar, bbar = _project(
-                assemble_predictor(markov, 20, 46, 2, 2), basis)
+            abar, bbar = _project(markov, 20, 46, basis)
             for max_iterations in (50, 500):
                 p_new, it_new, _ = solve_dare(abar, bbar, q, r, p0=p_new,
                                               max_iterations=max_iterations)
@@ -367,9 +335,9 @@ class TestDare:
         # within rounding otherwise.
         basis = build_basis(46, 2)
         nb = basis.n_params
-        abar, bbar = _project(assemble_predictor(
-            _contracting_markov(np.random.default_rng(9), 20, 2), 20, 46, 2,
-            2), basis)
+        abar, bbar = _project(
+            _contracting_markov(np.random.default_rng(9), 20, 2), 20, 46,
+            basis)
         q, r = np.eye(3 * nb), 3.0 * np.eye(nb)
         p_riccati = q
         for _ in range(5):  # a P away from Q
@@ -472,10 +440,8 @@ class TestFeedbackGain:
         model = make_benchmark_plant(seed=0, n=4, r=2, l=2)
         p = choose_past_window(model, tol=1e-8)
         P = 46
-        lp = assemble_predictor(model.markov_parameters(p), p, P,
-                                model.r, model.l)
         basis = build_basis(P, model.r)
-        abar, bbar = _project(lp, basis)
+        abar, bbar = _project(model.markov_parameters(p), p, P, basis)
         nb = basis.n_params
         Q, R = np.eye(3 * nb), 10.0 * np.eye(nb)
         p_sol, _, residual = solve_dare(abar, bbar, Q, R)
@@ -625,9 +591,10 @@ class TestRotationTelemetry:
             if np.isnan(tel.dare_residual):
                 continue
             p_before, theta_before, dtheta_before = before
-            lp = assemble_predictor(ctrl.markov.estimate, cfg.past_window,
-                                    ctrl.period, 2, 2)
-            abar, bbar = project_predictor(lp, ctrl.basis, ctrl._lags)
+            markov = ctrl.markov.estimate
+            ig = assemble_predictor(markov, cfg.past_window, ctrl.period, 2,
+                                    2)
+            abar, bbar = project_predictor(ig, markov, ctrl.basis, ctrl._lags)
             p_next, kf, residual = dare_step(p_before, abar, bbar, q, r)
             theta, dtheta = update_theta(theta_before, dtheta_before,
                                          ctrl.ybar, ctrl.delta_ybar, kf,
@@ -676,6 +643,25 @@ class TestRotationTelemetry:
         assert len(wraps) > 400
         assert [tel.time_s for tel in record.rotations] == [
             int(k) * ts for k in wraps]
+
+    def test_synthesis_calls_each_traced_stage_once(self, monkeypatch):
+        # perfbench's tracer wraps these by their `sprc` attribute, so the
+        # run path must call each through it, once per synthesized rotation:
+        # a stage inlined into `_synthesize` fails here.
+        names = ("assemble_predictor", "project_predictor", "update_theta")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _stage=getattr(sprc, name)):
+                calls[_name] += 1
+                return _stage(*args)
+            monkeypatch.setattr(sprc, name, counted)
+        record = run_experiment(ExperimentConfig(
+            controller="sprc-1p2p", duration=12.0, eval_start_s=4.0,
+            sprc=SprcConfig(ident_duration_s=2.0)))
+        synthesized = sum(np.isfinite(tel.dare_residual)
+                          for tel in record.rotations)
+        assert synthesized > 0
+        assert calls == dict.fromkeys(names, synthesized)
 
     def test_run_path_never_solves_the_dare(self, monkeypatch):
         def refuse(*args, **kwargs):
