@@ -321,16 +321,20 @@ def open_loop(params: TurbineParams, initial: TurbineState, wind: np.ndarray,
     azimuths, omegas, lowpassed, amp_scale = (array("d") for _ in range(4))
     put_azimuth, put_omega = azimuths.append, omegas.append
     put_lowpassed, put_amp = lowpassed.append, amp_scale.append
-    for wind_sample, target in float_rows(wind, omega_ss):
-        put_azimuth(azimuth)
-        put_omega(omega)
-        wind_lp = wind_lp + b * (wind_sample - wind_lp)
-        put_lowpassed(wind_lp)
-        put_amp((wind_lp / wind_ref) ** 2)
-        omega = omega + relax * (target - omega)
-        azimuth = azimuth + omega * ts
-        if azimuth >= two_pi:
-            azimuth -= two_pi
+    try:
+        for wind_sample, target in float_rows(wind, omega_ss):
+            put_azimuth(azimuth)
+            put_omega(omega)
+            wind_lp = wind_lp + b * (wind_sample - wind_lp)
+            put_lowpassed(wind_lp)
+            put_amp((wind_lp / wind_ref) ** 2)
+            omega = omega + relax * (target - omega)
+            azimuth = azimuth + omega * ts
+            if azimuth >= two_pi:
+                azimuth -= two_pi
+    except OverflowError:  # float `**` raises it; it does not return inf
+        raise ArithmeticError(f"plant.loads.wind_ref_mps: ({wind_lp:g} / "
+                              f"{wind_ref:g} m/s) ** 2 overflows") from None
 
     azimuths = np.array(azimuths)
     # Blade 2 sits half a turn ahead; it is heavier and phase-shifted.

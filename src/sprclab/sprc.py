@@ -10,6 +10,7 @@ phase reference is azimuth rather than time.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -86,7 +87,8 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     top-right corner blocks (i, i + P - 1 - q) of GKu_t and GKy_t. Only
     I - Gt, unit block-lower-triangular and (l P) x (l P), is formed: the
     other three's products with the basis are one product of the Markov
-    matrix with `lag_map`.
+    matrix with `lag_map`. It is one gather from [0, 1, 0 - My], whose
+    zeros carry the signs that I - Gt's do.
     """
     p, P, r, l = past_window, period, n_inputs, n_outputs
     if P < p:
@@ -94,23 +96,24 @@ def assemble_predictor(markov: np.ndarray, past_window: int, period: int,
     if markov.shape != (l, (r + l) * p):
         raise ValueError("Markov matrix has the wrong shape")
 
-    my = markov[:, r * p:].reshape(l, p, l)
-    return np.eye(l * P) - _block_toeplitz(my, P)
+    values = np.concatenate(((0.0, 1.0), (0.0 - markov[:, r * p:]).ravel()))
+    return values[_predictor_index(p, P, l)]
 
 
-def _block_toeplitz(blocks: np.ndarray, period: int) -> np.ndarray:
-    """(l P) x (m P) matrix whose block (i, j) is the lag-(i - j) block of
-    the (l, p, m) `blocks`, oldest first, for 1 <= i - j <= p, else 0.
-
-    The blocks sit in one zero sequence down the diagonals P to 1 - P, and
-    block row i is its window of P entries from diagonal i, so each row of
-    the result is one contiguous run of it. Diagonal P, outside the matrix,
-    holds the lag-P block when p = P."""
-    l, p, m = blocks.shape
-    diagonals = np.zeros((l, 2 * period, m))
-    diagonals[:, period - p:period] = blocks
+@functools.lru_cache(maxsize=16)
+def _predictor_index(p: int, period: int, l: int) -> np.ndarray:
+    """Where I - Gt takes each entry of [0, 1, 0 - My raveled]. The markers
+    2, 3, ... of the (l, p, l) blocks My, oldest first, sit in one zero
+    sequence down the diagonals P to 1 - P, and block row i is its window
+    of P entries from diagonal i (diagonal P lies outside the matrix)."""
+    diagonals = np.zeros((l, 2 * period, l), dtype=np.intp)
+    diagonals[:, period - p:period] = np.arange(2, 2 + l * p * l).reshape(
+        l, p, l)
     rows = sliding_window_view(diagonals[:, 1:], period, axis=1)[:, ::-1]
-    return rows.transpose(1, 0, 3, 2).reshape(l * period, m * period)
+    index = rows.transpose(1, 0, 3, 2).reshape(l * period, l * period).copy()
+    index[np.diag_indices(l * period)] = 1
+    index.flags.writeable = False
+    return index
 
 
 def lag_map(basis: BasisMatrix, period: int, past_window: int) -> np.ndarray:

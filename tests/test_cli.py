@@ -113,6 +113,22 @@ def test_overflowing_metrics_exit_code(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_load_scale_overflow_names_its_path(tmp_path, capsys):
+    # Squaring the low-passed wind over a tiny reference speed overflows a
+    # Python float; the run is a numeric failure naming the field.
+    config = tmp_path / "tiny_ref.json"
+    config.write_text(json.dumps({
+        "duration": 12, "eval_start_s": 3,
+        "plant": {"loads": {"wind_ref_mps": 1e-300}}}))
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--output", str(out_dir)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("numeric failure: plant.loads.wind_ref_mps:")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_main_leaves_no_parser_for_the_collector(tmp_path, capsys):
     # An argparse parser holds reference cycles. `main` reuses the one
     # parser of the process, so a call leaves none of its objects behind

@@ -190,6 +190,7 @@ class TestMarkovEstimate:
         for m in self.BLOCKS:
             zb, tb = rng.standard_normal((m, dim)), rng.standard_normal((m, l))
             est.fold(zb, tb)
+            est.estimate  # folds the queued block in its own QR update
             z.append(zb)
             t.append(tb)
         z, t = np.vstack(z), np.vstack(t)
@@ -250,9 +251,45 @@ class TestMarkovEstimate:
         rows = MarkovEstimate(r, l, p, forgetting=0.999)
         for i in range(len(z)):
             rows.fold(z[i:i + 1], t[i:i + 1])
+            rows.estimate  # folds the queued row in its own QR update
         block = MarkovEstimate(r, l, p, forgetting=0.999)
         block.fold(z, t)
         np.testing.assert_allclose(rows.estimate, block.estimate, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 700), max_size=6),
+           tail=st.integers(1, 511), seed=st.integers(0, 2**32 - 1))
+    def test_queued_folds_match_one_fold(self, sizes, tail, seed):
+        # Calls of 1-700 rows. The block that fills the queue to 512 rows
+        # makes `fold` drain it, and the tail leaves rows for `estimate`
+        # to drain. Oracle: one fold of all rows, and the batch solve.
+        r, l, p = 2, 2, 3
+        dim = (r + l) * p
+        queued = 0
+        for m in sizes:
+            queued = 0 if queued + m >= 512 else queued + m
+        sizes = [*sizes, 512 - queued, tail]
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((sum(sizes), dim))
+        t = rng.standard_normal((sum(sizes), l))
+        est = MarkovEstimate(r, l, p, forgetting=0.999)
+        drains, a = 0, 0
+        for m in sizes:
+            before = est._queued
+            assert est.fold(z[a:a + m], t[a:a + m]) == 0
+            assert est._queued < 512
+            drains += est._queued != before + m
+            a += m
+        assert drains >= 1 and est._queued == tail
+        got = est.estimate
+        assert est._queued == 0
+        one = MarkovEstimate(r, l, p, forgetting=0.999)
+        one.fold(z, t)
+        want = one.estimate
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        batch = batch_solve(z, t, forgetting=0.999)
+        gap = np.linalg.norm(got - batch)
+        assert gap <= 1e-8 * (1.0 + np.linalg.norm(batch))
 
     def test_forgetting_tracks_plant_switch(self):
         r, l, p = 1, 1, 2
